@@ -5,7 +5,8 @@
 #      byte-identical between --threads 1 and --threads 4;
 #   2. the golden smoke CSV is unchanged with tracing enabled;
 #   3. `c4trace summary`, `timeline`, and `diff` all work on the
-#      output, and `diff` flags an injected divergence.
+#      output, `diff` flags an injected divergence, and refuses
+#      directories with exit 2.
 #
 # Inputs: BENCH (c4bench path), TRACE_TOOL (c4trace path), SCENARIO,
 # GOLDEN (committed CSV), WORK_DIR (scratch).
@@ -113,4 +114,15 @@ if(NOT diff_rc EQUAL 1)
     message(FATAL_ERROR
         "c4trace diff missed an injected divergence (exit "
         "${diff_rc}, expected 1)")
+endif()
+
+# Directories are not traces: diff must refuse them with exit 2
+# instead of comparing zero lines as identical.
+execute_process(
+    COMMAND "${TRACE_TOOL}" diff "${WORK_DIR}/t1" "${WORK_DIR}/t4"
+    RESULT_VARIABLE dir_rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT dir_rc EQUAL 2)
+    message(FATAL_ERROR
+        "c4trace diff accepted two directories (exit ${dir_rc}, "
+        "expected 2)")
 endif()

@@ -76,7 +76,7 @@ class Accl::Exec
         *alive_ = false;
         for (FlowId f : activeFlows_)
             lib_.fabric_.abortFlow(f);
-        for (EventId e : pendingEvents_)
+        for (EventId e : scheduledEvents_)
             lib_.sim_.cancel(e);
     }
 
@@ -161,26 +161,22 @@ class Accl::Exec
     int channelsFinished_ = 0;
 
     std::unordered_set<FlowId> activeFlows_;
-    std::unordered_set<EventId> pendingEvents_;
+    std::vector<EventId> scheduledEvents_;
 
+    /** Schedule an executor callback; ~Exec cancels whatever of it is
+     * still pending (cancelling a fired id is a generation-checked
+     * no-op), so @p fn may capture `this` bare. */
+    template <typename F>
     void
-    schedule(Time when, std::function<void()> fn)
+    schedule(Time when, F fn)
     {
-        auto weak = std::weak_ptr<bool>(alive_);
-        auto id_holder = std::make_shared<EventId>(kInvalidEvent);
-        const EventId id = lib_.sim_.scheduleAt(
-            when, [this, weak, id_holder, fn = std::move(fn)] {
-                if (auto p = weak.lock(); p && *p) {
-                    pendingEvents_.erase(*id_holder);
-                    fn();
-                }
-            });
-        *id_holder = id;
-        pendingEvents_.insert(id);
+        scheduledEvents_.push_back(
+            lib_.sim_.scheduleAt(when, std::move(fn)));
     }
 
+    template <typename F>
     void
-    scheduleAfter(Duration d, std::function<void()> fn)
+    scheduleAfter(Duration d, F fn)
     {
         schedule(lib_.sim_.now() + d, std::move(fn));
     }

@@ -101,9 +101,13 @@ Cluster::provisionBackupNodes(int count)
 int
 Cluster::freeNodes() const
 {
+    // Broken idle nodes are masked out by allocateNodes(), so they
+    // are not free either.
     int free = 0;
     for (bool used : nodeUsed_)
         free += used ? 0 : 1;
+    for (NodeId n : broken_)
+        free -= nodeUsed_[static_cast<std::size_t>(n)] ? 0 : 1;
     return free;
 }
 

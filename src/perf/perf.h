@@ -46,8 +46,12 @@ struct PerfOptions
 };
 
 /**
- * Process-wide allocation counters (see alloc_hooks.cc). Monotonic:
- * callers snapshot before and after a region and subtract.
+ * Process-wide allocation counters (see alloc_hooks.cc). Each thread
+ * counts into its own slot; a read sums the live slots plus the totals
+ * of exited threads, so the result is exact (every operator-new call
+ * of every thread, past and present) and monotonic: callers snapshot
+ * before and after a region and subtract. With other threads running,
+ * the delta includes their allocations too.
  */
 struct AllocStats
 {

@@ -81,7 +81,7 @@ class Simulator
 
     /** Inline callback storage per event slot; larger captures take one
      * heap allocation. 80 bytes covers every capture pattern in the
-     * tree, including accl's {this, weak_ptr, shared_ptr, function}. */
+     * tree. */
     static constexpr std::size_t kInlineCallbackBytes = 80;
 
     Simulator() = default;

@@ -22,6 +22,11 @@ namespace fs = std::filesystem;
 std::string
 readFile(const std::string &path)
 {
+    // An ifstream on a directory opens fine but reads zero bytes,
+    // which would make `diff <dir> <dir>` report "identical: 0 event
+    // line(s)" instead of failing.
+    if (!fs::is_regular_file(path))
+        throw std::runtime_error("'" + path + "' is not a trace file");
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw std::runtime_error("cannot read '" + path + "'");

@@ -260,6 +260,46 @@ TEST(Accl, DestroyCommunicatorAbortsInFlight)
     EXPECT_EQ(h.fabric.activeFlowCount(), 0u);
 }
 
+TEST(Accl, DestroyCommunicatorCancelsPendingExecutorEvents)
+{
+    Harness h(2);
+    CommId comm = h.lib.createCommunicator(1, h.fullNodes({0, 1}));
+    std::vector<Duration> delays(16, 0);
+    delays[5] = seconds(1); // the start round waits for rank 5
+    bool fired = false;
+    h.lib.postCollective(
+        comm, CollOp::AllReduce, mib(64),
+        [&](const CollectiveResult &) { fired = true; }, delays);
+    h.sim.run(milliseconds(10));
+    ASSERT_GT(h.sim.pendingCount(), 0u);
+
+    h.lib.destroyCommunicator(comm);
+    // Every executor event was cancelled with the op: nothing is left
+    // to fire, and running to the horizon executes nothing.
+    EXPECT_EQ(h.sim.pendingCount(), 0u);
+    EXPECT_EQ(h.sim.run(seconds(10)), 0u);
+    EXPECT_FALSE(fired);
+    EXPECT_EQ(h.lib.monitor().currentOp(comm), nullptr);
+}
+
+TEST(Accl, DestroyCommunicatorCancelsPendingNvlinkRounds)
+{
+    Harness h(1);
+    CommId comm = h.lib.createCommunicator(1, h.fullNodes({0}));
+    bool fired = false;
+    h.lib.postCollective(comm, CollOp::AllReduce, gib(4),
+                         [&](const CollectiveResult &) { fired = true; });
+    // Mid-collective: the single-node rounds are NVLink completion
+    // events on the executor, with no fabric flow in between.
+    h.sim.run(milliseconds(5));
+    ASSERT_GT(h.sim.pendingCount(), 0u);
+
+    h.lib.destroyCommunicator(comm);
+    EXPECT_EQ(h.sim.pendingCount(), 0u);
+    EXPECT_EQ(h.sim.run(minutes(1)), 0u);
+    EXPECT_FALSE(fired);
+}
+
 TEST(Accl, ResultBookkeepingConsistent)
 {
     Harness h(2);

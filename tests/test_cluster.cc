@@ -64,6 +64,36 @@ TEST(Cluster, NodePoolAllocation)
     EXPECT_THROW(cluster.allocateNodes(1), std::runtime_error);
 }
 
+TEST(Cluster, BrokenIdleNodeIsNotFree)
+{
+    ClusterConfig cc;
+    cc.topology = paperTestbed();
+    Cluster cluster(cc);
+    const auto used = cluster.allocateNodes(12);
+    const int before = cluster.freeNodes();
+    ASSERT_EQ(before, 4);
+    NodeId idle = 0;
+    while (std::count(used.begin(), used.end(), idle) > 0)
+        ++idle;
+
+    // An ECC error on an idle node leaves it broken but unused.
+    fault::FaultEvent ev;
+    ev.type = fault::FaultType::EccError;
+    ev.node = idle;
+    cluster.faults().injectNow(ev);
+    ASSERT_TRUE(cluster.isNodeBroken(idle));
+
+    // A caller that checks freeNodes() first now refuses the old
+    // count instead of hitting "node pool exhausted".
+    EXPECT_EQ(cluster.freeNodes(), before - 1);
+    EXPECT_THROW(cluster.allocateNodes(before), std::runtime_error);
+    EXPECT_EQ(cluster.allocateNodes(cluster.freeNodes()).size(), 3u);
+    EXPECT_EQ(cluster.freeNodes(), 0);
+
+    cluster.repairNode(idle);
+    EXPECT_EQ(cluster.freeNodes(), 1);
+}
+
 TEST(Cluster, AddJobAutoAllocatesNodes)
 {
     ClusterConfig cc;

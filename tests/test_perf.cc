@@ -6,12 +6,15 @@
  * one (same fire order, clock, and live counts through randomized
  * schedule/cancel/run soups — the property the speedup claim rests
  * on; a faster kernel that fires in a different order measures
- * nothing).
+ * nothing), and the per-thread allocation counters stay exact and
+ * monotonic while threads allocate, exit, and are read concurrently.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "common/json.h"
@@ -195,6 +198,78 @@ TEST(PooledLegacyEquivalence, RandomSoupSeed2)
 TEST(PooledLegacyEquivalence, RandomSoupSeed3)
 {
     soup(0xda942042e4dd58b5ull);
+}
+
+/** Spin (yielding) until @p flag is set; allocates nothing. */
+void
+waitFor(const std::atomic<bool> &flag)
+{
+    while (!flag.load(std::memory_order_acquire))
+        std::this_thread::yield();
+}
+
+TEST(AllocCounters, ExactAcrossThreadsThatExitBeforeTheRead)
+{
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 20000;
+    auto sizeOf = [](int t, int k) {
+        return static_cast<std::size_t>(1 + (t * 7919 + k * 31) % 512);
+    };
+    std::uint64_t expectBytes = 0;
+    for (int t = 0; t < kThreads; ++t)
+        for (int k = 0; k < kPerThread; ++k)
+            expectBytes += sizeOf(t, k);
+
+    // Threads are created (which allocates) before the first read; the
+    // window between the reads holds only the workers' own pairs.
+    std::atomic<bool> go{false};
+    std::atomic<bool> release{false};
+    std::atomic<int> finished{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            waitFor(go);
+            for (int k = 0; k < kPerThread; ++k) {
+                // Direct operator calls: a new-expression pair may be
+                // elided by the optimizer, these may not.
+                void *p = ::operator new(sizeOf(t, k));
+                ::operator delete(p);
+            }
+            finished.fetch_add(1, std::memory_order_acq_rel);
+            // Odd workers stay alive across the read; even ones exit.
+            if (t % 2 == 1)
+                waitFor(release);
+        });
+    }
+    const AllocStats before = allocStatsNow();
+    go.store(true, std::memory_order_release);
+
+    // Concurrent reads never go backwards.
+    AllocStats last = before;
+    bool monotonic = true;
+    while (finished.load(std::memory_order_acquire) < kThreads) {
+        const AllocStats now = allocStatsNow();
+        monotonic = monotonic && now.count >= last.count &&
+                    now.bytes >= last.bytes;
+        last = now;
+    }
+    for (int t = 0; t < kThreads; t += 2)
+        workers[static_cast<std::size_t>(t)].join();
+    const AllocStats mid = allocStatsNow();
+    release.store(true, std::memory_order_release);
+    for (int t = 1; t < kThreads; t += 2)
+        workers[static_cast<std::size_t>(t)].join();
+    const AllocStats after = allocStatsNow();
+
+    EXPECT_TRUE(monotonic);
+    const std::uint64_t expectCount =
+        static_cast<std::uint64_t>(kThreads) * kPerThread;
+    // Half the workers retired, half still live at the read.
+    EXPECT_EQ(mid.count - before.count, expectCount);
+    EXPECT_EQ(mid.bytes - before.bytes, expectBytes);
+    // Retiring the rest moves their slots, it does not add to them.
+    EXPECT_EQ(after.count - before.count, expectCount);
+    EXPECT_EQ(after.bytes - before.bytes, expectBytes);
 }
 
 } // namespace

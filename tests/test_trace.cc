@@ -496,6 +496,29 @@ TEST(Diff, ReportsIdenticalTracesAndInjectedDivergences)
               std::string::npos);
 }
 
+TEST(Diff, RefusesDirectoriesAndMissingFiles)
+{
+    const fs::path dir = scratchDir("diff_dirs");
+    const fs::path a = dir / "a";
+    const fs::path b = dir / "b";
+    fs::create_directories(a);
+    fs::create_directories(b);
+    const std::string file = (dir / "t.jsonl").string();
+    {
+        std::ofstream out(file, std::ios::binary);
+        out << writeJsonl({makeEvent(EventKind::RecomputeEnd, 1)});
+    }
+
+    // Two empty directories would otherwise compare "identical".
+    std::ostringstream out;
+    EXPECT_THROW(diffTraces(a.string(), b.string(), out),
+                 std::runtime_error);
+    EXPECT_THROW(diffTraces(file, a.string(), out), std::runtime_error);
+    EXPECT_THROW(diffTraces(file, (dir / "missing.jsonl").string(), out),
+                 std::runtime_error);
+    EXPECT_EQ(out.str(), "");
+}
+
 TEST(Jsonl, EveryPrefixOfARealIncidentTraceParsesOrThrows)
 {
     // Harden the reader against truncated writes: for a real corpus
