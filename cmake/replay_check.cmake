@@ -8,7 +8,9 @@
 #      verdicts (replay-same-incident-twice, via --write-golden);
 #   3. a mutated golden makes `score --golden` fail (the gate can
 #      actually catch a detector change);
-#   4. `summary` and `run --label` work on the corpus.
+#   4. `summary` and `run --label` work on the corpus;
+#   5. the corpus is current: `capture` re-records all incidents from
+#      live simulations and the result byte-matches tests/incidents/.
 #
 # Inputs: REPLAY_TOOL (c4replay path), CORPUS (tests/incidents),
 # WORK_DIR (scratch).
@@ -87,3 +89,28 @@ run_or_die("c4replay run (labeled)"
     "${REPLAY_TOOL}" run
     "${CORPUS}/link_failure_single.trace.jsonl"
     --label "${CORPUS}/link_failure_single.label.json")
+
+# --- 5. live capture reproduces the committed corpus -----------------
+run_or_die("c4replay capture"
+    "${REPLAY_TOOL}" capture "${WORK_DIR}/capture")
+file(GLOB committed RELATIVE "${CORPUS}" "${CORPUS}/*")
+file(GLOB captured RELATIVE "${WORK_DIR}/capture" "${WORK_DIR}/capture/*")
+list(SORT committed)
+list(SORT captured)
+if(NOT committed STREQUAL captured)
+    message(FATAL_ERROR
+        "capture wrote a different file set than the corpus:\n"
+        "  committed: ${committed}\n  captured:  ${captured}")
+endif()
+foreach(name IN LISTS committed)
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+            "${CORPUS}/${name}" "${WORK_DIR}/capture/${name}"
+        RESULT_VARIABLE same_rc)
+    if(NOT same_rc EQUAL 0)
+        message(FATAL_ERROR
+            "tests/incidents/${name} is stale: a live capture differs. "
+            "Regenerate with `c4replay capture tests/incidents/` after "
+            "a deliberate model change.")
+    endif()
+endforeach()

@@ -17,21 +17,18 @@ constexpr double kByteEpsilon = 0.5;
 /** A link allocated beyond this fraction of capacity is congested. */
 constexpr double kCongestedFraction = 0.999;
 
-/** Key of the per-(sender node, NIC) CNP aggregate map. */
-std::uint64_t
-nicKey(NodeId node, NicId nic)
+/** Uniform double in [0, 1) from the top 53 bits of @p key. */
+double
+unitInterval(std::uint64_t key)
 {
-    return (static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(node))
-            << 32) |
-           static_cast<std::uint32_t>(nic);
+    return static_cast<double>(key >> 11) * 0x1.0p-53;
 }
 
 } // namespace
 
 Fabric::Fabric(Simulator &sim, Topology &topo, FabricConfig cfg,
                std::uint64_t seed)
-    : sim_(sim), topo_(topo), selector_(topo), cfg_(cfg), rng_(seed),
+    : sim_(sim), topo_(topo), selector_(topo), cfg_(cfg), seed_(seed),
       linkAlloc_(topo.numLinks(), 0.0),
       linkDemand_(topo.numLinks(), 0.0),
       linkCongested_(topo.numLinks(), false),
@@ -49,6 +46,7 @@ Fabric::admit(FlowState state)
 {
     state.id = nextFlowId_++;
     state.startTime = sim_.now();
+    state.bankedAt = state.startTime;
     const FlowId id = state.id;
     auto [it, inserted] = flows_.emplace(id, std::move(state));
     assert(inserted);
@@ -98,6 +96,7 @@ Fabric::abortFlow(FlowId id)
     auto it = flows_.find(id);
     if (it == flows_.end())
         return false;
+    sim_.cancel(it->second.completion);
     dropFlowLinks(it->second);
     flows_.erase(it);
     markDirty();
@@ -199,11 +198,13 @@ Fabric::setFlowRoute(FlowState &flow, Route route)
     }
     if (!flow.route.valid()) {
         // A routeless flow has no link membership, so no component
-        // search can reach it: silence it here. Callers advance
-        // progress before rerouting, so no transmitted bytes are lost.
+        // search can reach it: silence it here (setRate banks the
+        // bytes it sent at the old rate).
         flow.baseRate = 0.0;
-        flow.rate = 0.0;
+        flow.overload = 0.0;
+        flow.congested = false;
         flow.cnpRate = 0.0;
+        setRate(flow, 0.0);
     }
 }
 
@@ -219,13 +220,11 @@ Fabric::dropFlowLinks(FlowState &flow)
 std::size_t
 Fabric::rerouteFlowsTouching(LinkId id)
 {
-    advanceProgress(); // bank progress before any flow is silenced
-    std::size_t touched = 0;
-    for (auto &[fid, flow] : flows_) {
-        const auto &links = flow.route.links;
-        if (std::find(links.begin(), links.end(), id) == links.end())
-            continue;
-        ++touched;
+    // A copy: rerouting edits this link's membership while we walk it.
+    const auto &members = membership_.members(id);
+    scratchIds_.assign(members.begin(), members.end());
+    for (FlowId fid : scratchIds_) {
+        FlowState &flow = flows_.find(fid)->second;
         if (flow.hasReq) {
             // ECMP rehash among the surviving next hops: deterministic
             // per flow, so rerouted flows can concentrate (Fig. 13a).
@@ -234,7 +233,7 @@ Fabric::rerouteFlowsTouching(LinkId id)
             setFlowRoute(flow, Route{}); // explicit route died with it
         }
     }
-    return touched;
+    return scratchIds_.size();
 }
 
 std::size_t
@@ -244,7 +243,6 @@ Fabric::reresolveRequestFlows()
     // a restored link re-enters the ECMP hash, so flows rehashed onto
     // survivors during the outage rebalance back to their pre-fault
     // paths (selection is deterministic per request).
-    advanceProgress();
     std::size_t touched = 0;
     for (auto &[fid, flow] : flows_) {
         if (!flow.hasReq)
@@ -258,19 +256,105 @@ Fabric::reresolveRequestFlows()
     return touched;
 }
 
-void
-Fabric::advanceProgress()
+double
+Fabric::remainingNow(const FlowState &flow) const
 {
+    if (flow.rate <= 0.0)
+        return flow.remaining;
+    return std::max(0.0, flow.remaining -
+                             flow.rate *
+                                 toSeconds(sim_.now() - flow.bankedAt) /
+                                 8.0);
+}
+
+void
+Fabric::setRate(FlowState &flow, double rate)
+{
+    if (rate == flow.rate)
+        return;
+    flow.remaining = remainingNow(flow);
+    flow.bankedAt = sim_.now();
+    flow.rate = rate;
+    scheduleCompletion(flow);
+}
+
+void
+Fabric::scheduleCompletion(FlowState &flow)
+{
+    sim_.cancel(flow.completion);
+    flow.completion = kInvalidEvent;
     const Time now = sim_.now();
-    const double dt = toSeconds(now - lastAdvance_);
-    if (dt > 0.0) {
-        for (auto &[id, flow] : flows_) {
-            if (flow.rate > 0.0)
-                flow.remaining =
-                    std::max(0.0, flow.remaining - flow.rate * dt / 8.0);
+    Duration delay = 0; // a flow already within epsilon completes now
+    if (flow.remaining > kByteEpsilon) {
+        if (flow.rate <= 0.0)
+            return;
+        // Round up: a finish time between two nanoseconds fires at the
+        // later one, so the event always finds the flow done.
+        const double delay_ns =
+            std::ceil(flow.remaining * 8.0 / flow.rate * 1e9);
+        // A flow squeezed to a near-zero fair share finishes beyond
+        // the representable horizon; casting that to Duration would
+        // overflow int64 (UB). It is effectively stalled: schedule
+        // nothing and let its next rate change revisit it.
+        if (!(delay_ns < 0x1.0p63) ||
+            static_cast<Duration>(delay_ns) > kTimeNever - now)
+            return;
+        delay = std::max<Duration>(1, static_cast<Duration>(delay_ns));
+    }
+    const FlowId id = flow.id;
+    flow.completion =
+        sim_.scheduleAt(now + delay, [this, id] { onFlowDone(id); });
+}
+
+void
+Fabric::applyFill(FlowState &flow, double baseRate, double overload,
+                  bool congested)
+{
+    if (baseRate == flow.baseRate && overload == flow.overload &&
+        congested == flow.congested)
+        return;
+    flow.baseRate = baseRate;
+    flow.overload = overload;
+    flow.congested = congested;
+    ++flow.draws;
+    double rate = baseRate;
+    flow.cnpRate = 0.0;
+    if (congested) {
+        // Counter-based draws keyed by (seed, flow, draw index): a
+        // flow's overlay depends only on its own fill history, never
+        // on which other flows a recompute happened to visit.
+        const std::uint64_t key = deriveSeed(
+            deriveSeed(seed_, static_cast<std::uint64_t>(flow.id)),
+            flow.draws);
+        flow.cnpRate =
+            cfg_.cnpRatePerOverload * std::max(0.0, overload) *
+            (1.0 + cfg_.cnpNoise * (2.0 * unitInterval(key) - 1.0));
+        if (cfg_.congestionJitter) {
+            // DCQCN rate reduction has a per-QP persistent bias
+            // (each sender's CNP cadence differs) plus temporal
+            // noise; the bias is what spreads task averages apart
+            // in the paper's Fig. 10b. Explicit-route flows (C4P
+            // probers) have no request, so their bias derives
+            // from the flow id — a shared flowLabel of 0 would
+            // give every prober the identical persistent bias.
+            const std::uint32_t ident =
+                flow.hasReq
+                    ? flow.req.flowLabel
+                    : static_cast<std::uint32_t>(
+                          static_cast<std::uint64_t>(flow.id) *
+                              0x9E3779B97F4A7C15ull >>
+                          32);
+            std::uint32_t h = ident * 0x9E3779B9u + 0x7F;
+            h ^= h >> 15;
+            h *= 0x85EBCA6Bu;
+            h ^= h >> 13;
+            const double stable = static_cast<double>(h % 1024u) / 1023.0;
+            const double u =
+                0.5 * stable + 0.5 * unitInterval(mixSeed(key));
+            rate = baseRate * (1.0 - cfg_.jitterMax * u);
         }
     }
-    lastAdvance_ = now;
+    setRate(flow, rate);
 }
 
 void
@@ -312,7 +396,6 @@ Fabric::flush()
 void
 Fabric::recompute()
 {
-    advanceProgress();
     dirty_ = false;
     if (recomputeEvent_ != kInvalidEvent) {
         sim_.cancel(recomputeEvent_);
@@ -325,38 +408,33 @@ Fabric::recompute()
     // from dirty links through shared-link membership. Progressive
     // filling couples flows only through shared links, so components
     // fill independently: re-filling the closure reproduces exactly
-    // what a global rebuild would assign, while untouched flows keep
-    // their fair share and link allocations.
+    // what a global rebuild would assign, while flows outside it are
+    // never visited.
     ++epoch_;
     componentLinks_.clear();
+    componentFlows_.clear();
     const std::size_t dirtySeeds = dirtyLinks_.size();
-    const bool full = !cfg_.incrementalRecompute || allDirty_;
-    if (full) {
-        for (auto &[id, flow] : flows_) {
-            flow.visitEpoch = epoch_;
-            for (LinkId l : flow.route.links) {
-                auto li = static_cast<std::size_t>(l);
-                if (linkEpoch_[li] != epoch_) {
-                    linkEpoch_[li] = epoch_;
-                    componentLinks_.push_back(l);
-                }
-            }
+    auto visitLink = [this](LinkId l) {
+        auto li = static_cast<std::size_t>(l);
+        if (linkEpoch_[li] != epoch_) {
+            linkEpoch_[li] = epoch_;
+            componentLinks_.push_back(l);
         }
-        for (LinkId l : dirtyLinks_) {
-            auto li = static_cast<std::size_t>(l);
-            if (linkEpoch_[li] != epoch_) {
-                linkEpoch_[li] = epoch_;
-                componentLinks_.push_back(l);
-            }
-        }
-    } else {
-        for (LinkId l : dirtyLinks_) {
-            auto li = static_cast<std::size_t>(l);
-            if (linkEpoch_[li] != epoch_) {
-                linkEpoch_[li] = epoch_;
-                componentLinks_.push_back(l);
-            }
-        }
+    };
+    auto visitFlow = [&](FlowState &flow) {
+        if (flow.visitEpoch == epoch_)
+            return;
+        flow.visitEpoch = epoch_;
+        componentFlows_.push_back(&flow);
+        for (LinkId l : flow.route.links)
+            visitLink(l);
+    };
+    for (LinkId l : dirtyLinks_) {
+        visitLink(l);
+        linkDirtyFlag_[static_cast<std::size_t>(l)] = 0;
+    }
+    dirtyLinks_.clear();
+    if (cfg_.incrementalRecompute) {
         // BFS over the bipartite link <-> flow sharing graph;
         // componentLinks_ doubles as the queue.
         for (std::size_t head = 0; head < componentLinks_.size();
@@ -365,24 +443,20 @@ Fabric::recompute()
                  membership_.members(componentLinks_[head])) {
                 auto it = flows_.find(fid);
                 assert(it != flows_.end()); // membership is eager
-                FlowState &flow = it->second;
-                if (flow.visitEpoch == epoch_)
-                    continue;
-                flow.visitEpoch = epoch_;
-                for (LinkId l : flow.route.links) {
-                    auto li = static_cast<std::size_t>(l);
-                    if (linkEpoch_[li] != epoch_) {
-                        linkEpoch_[li] = epoch_;
-                        componentLinks_.push_back(l);
-                    }
-                }
+                visitFlow(it->second);
             }
         }
+    } else {
+        for (auto &[id, flow] : flows_)
+            visitFlow(flow);
     }
-    for (LinkId l : dirtyLinks_)
-        linkDirtyFlag_[static_cast<std::size_t>(l)] = 0;
-    dirtyLinks_.clear();
-    allDirty_ = false;
+    // Fill in flow-id order in both modes: a component then sees the
+    // same floating-point accumulation and filling tie-breaks whether
+    // it is filled alone or as part of a full rebuild.
+    std::sort(componentFlows_.begin(), componentFlows_.end(),
+              [](const FlowState *a, const FlowState *b) {
+                  return a->id < b->id;
+              });
 
     trace::TraceScope &tr = sim_.tracer();
     if (tr.wants(trace::EventKind::RecomputeBegin)) {
@@ -416,23 +490,12 @@ Fabric::recompute()
         linkCongested_[li] = false;
     }
 
-    // Gather the component's runnable flows in flow-table order — the
-    // same order the historical full rebuild used, which keeps both
-    // floating-point accumulation and filling tie-breaks identical.
     std::vector<FlowState *> &runnable = scratchRunnable_;
-    runnable.reserve(flows_.size());
-    for (auto &[id, flow] : flows_) {
-        if (flow.visitEpoch != epoch_)
+    for (FlowState *f : componentFlows_) {
+        if (f->stalled || !f->route.valid())
             continue;
-        flow.baseRate = 0.0;
-        flow.rate = 0.0;
-        flow.cnpRate = 0.0;
-        if (flow.stalled || !flow.route.valid() ||
-            flow.remaining <= kByteEpsilon) {
-            continue;
-        }
-        flow.baseRate = -1.0; // sentinel: not yet fixed by filling
-        runnable.push_back(&flow);
+        f->fill = -1.0; // sentinel: not yet fixed by filling
+        runnable.push_back(f);
     }
 
     std::vector<std::vector<FlowState *>> &members = scratchMembers_;
@@ -485,8 +548,8 @@ Fabric::recompute()
         if (best_link == kInvalidId) {
             // Remaining flows saw no constraining link; treat as idle.
             for (FlowState *f : runnable) {
-                if (f->baseRate < 0.0) {
-                    f->baseRate = 0.0;
+                if (f->fill < 0.0) {
+                    f->fill = 0.0;
                     ++fixed_count;
                 }
             }
@@ -494,10 +557,10 @@ Fabric::recompute()
         }
 
         for (FlowState *f : members[static_cast<std::size_t>(best_link)]) {
-            if (f->baseRate >= 0.0)
+            if (f->fill >= 0.0)
                 continue; // already fixed
             ++fixed_count;
-            f->baseRate = best_fair;
+            f->fill = best_fair;
             work += f->route.links.size();
             for (LinkId l : f->route.links) {
                 auto li = static_cast<std::size_t>(l);
@@ -512,7 +575,7 @@ Fabric::recompute()
     // Component post-pass: link allocation totals + congestion flags.
     for (FlowState *f : runnable) {
         for (LinkId l : f->route.links)
-            linkAlloc_[static_cast<std::size_t>(l)] += f->baseRate;
+            linkAlloc_[static_cast<std::size_t>(l)] += f->fill;
     }
     for (int l : activeLinks) {
         auto li = static_cast<std::size_t>(l);
@@ -521,72 +584,23 @@ Fabric::recompute()
             c > 0.0 && linkAlloc_[li] >= kCongestedFraction * c;
     }
 
-    // DCQCN overlay: CNP rates and sender-side jitter. Deliberately a
-    // *global* pass even in incremental mode — it models the ongoing
-    // per-recompute CNP cadence, it is O(active flows) (never the
-    // bottleneck the filling loop was), and walking every active flow
-    // in flow-table order consumes the RNG stream exactly as the
-    // historical full rebuild did, keeping golden CSVs byte-identical.
-    for (auto &[id, flow] : flows_) {
-        if (flow.stalled || !flow.route.valid() ||
-            flow.remaining <= kByteEpsilon) {
-            continue; // kept at zero rate by the refill invariants
+    // DCQCN overlay (CNP rates and sender-side jitter), component-local
+    // like the fill: a flow redraws only when its fill result changed.
+    for (FlowState *f : componentFlows_) {
+        if (f->stalled || !f->route.valid()) {
+            applyFill(*f, 0.0, 0.0, false);
+            continue;
         }
         double overload = 0.0;
         bool congested = false;
-        for (LinkId l : flow.route.links) {
+        for (LinkId l : f->route.links) {
             auto li = static_cast<std::size_t>(l);
             if (linkCongested_[li]) {
                 congested = true;
                 overload = std::max(overload, linkDemand_[li] - 1.0);
             }
         }
-        flow.rate = flow.baseRate;
-        if (congested) {
-            flow.cnpRate =
-                cfg_.cnpRatePerOverload * std::max(0.0, overload) *
-                (1.0 + cfg_.cnpNoise * (2.0 * rng_.uniform() - 1.0));
-            if (cfg_.congestionJitter) {
-                // DCQCN rate reduction has a per-QP persistent bias
-                // (each sender's CNP cadence differs) plus temporal
-                // noise; the bias is what spreads task averages apart
-                // in the paper's Fig. 10b. Explicit-route flows (C4P
-                // probers) have no request, so their bias derives
-                // from the flow id — a shared flowLabel of 0 would
-                // give every prober the identical persistent bias.
-                const std::uint32_t ident =
-                    flow.hasReq
-                        ? flow.req.flowLabel
-                        : static_cast<std::uint32_t>(
-                              static_cast<std::uint64_t>(flow.id) *
-                              0x9E3779B97F4A7C15ull >>
-                              32);
-                std::uint32_t h = ident * 0x9E3779B9u + 0x7F;
-                h ^= h >> 15;
-                h *= 0x85EBCA6Bu;
-                h ^= h >> 13;
-                const double stable =
-                    static_cast<double>(h % 1024u) / 1023.0;
-                const double u =
-                    0.5 * stable + 0.5 * rng_.uniform();
-                flow.rate = flow.baseRate * (1.0 - cfg_.jitterMax * u);
-            }
-        } else {
-            flow.cnpRate = 0.0;
-        }
-    }
-
-    // Rebuild the per-(node, nic) CNP aggregate so nicCnpRate() is a
-    // lookup instead of an O(flows) scan per polled NIC.
-    nicCnp_.clear();
-    for (const auto &[id, flow] : flows_) {
-        if (!flow.hasReq || flow.cnpRate <= 0.0)
-            continue;
-        if (flow.stalled || !flow.route.valid() ||
-            flow.remaining <= kByteEpsilon)
-            continue;
-        nicCnp_[nicKey(flow.req.srcNode, flow.req.srcNic)] +=
-            flow.cnpRate;
+        applyFill(*f, f->fill, overload, congested);
     }
 
     if (tr.wants(trace::EventKind::RecomputeEnd)) {
@@ -605,83 +619,37 @@ Fabric::recompute()
         mx.count("fabric.recompute_ops",
                  static_cast<std::int64_t>(work));
         // Dirty-component size: flows the incremental recompute had
-        // to touch this pass (the whole point of PR 6's scoping).
+        // to touch this pass.
         mx.observe("fabric.component_flows",
                    static_cast<double>(runnable.size()));
         mx.observe("fabric.component_links",
                    static_cast<double>(activeLinks.size()));
     }
-
-    // Schedule the next completion (a global scan: any flow's rate may
-    // have changed through the jitter overlay).
-    if (completionEvent_ != kInvalidEvent) {
-        sim_.cancel(completionEvent_);
-        completionEvent_ = kInvalidEvent;
-    }
-    Time next = kTimeNever;
-    const double horizon = static_cast<double>(kTimeNever - sim_.now());
-    for (auto &[id, flow] : flows_) {
-        if (flow.rate <= 0.0 || flow.stalled || !flow.route.valid() ||
-            flow.remaining <= kByteEpsilon)
-            continue;
-        const double delay_ns =
-            flow.remaining * 8.0 / flow.rate * 1e9;
-        // A flow squeezed to a near-zero fair share finishes beyond
-        // the representable horizon; casting that to Duration would
-        // overflow int64 (UB). It is effectively stalled: schedule
-        // nothing and let the next allocation change revisit it.
-        if (!(delay_ns < horizon))
-            continue;
-        const Time t =
-            sim_.now() +
-            std::max<Duration>(1, static_cast<Duration>(delay_ns));
-        next = std::min(next, t);
-    }
-    // Flows that were already at (or below) epsilon complete now.
-    for (auto &[id, flow] : flows_) {
-        if (flow.remaining <= kByteEpsilon) {
-            next = sim_.now();
-            break;
-        }
-    }
-    if (next != kTimeNever) {
-        completionEvent_ =
-            sim_.scheduleAt(next, [this] { onCompletionEvent(); });
-    }
 }
 
 void
-Fabric::onCompletionEvent()
+Fabric::onFlowDone(FlowId id)
 {
-    completionEvent_ = kInvalidEvent;
-    advanceProgress();
-
-    std::vector<FlowState> done;
-    for (auto it = flows_.begin(); it != flows_.end();) {
-        if (it->second.remaining <= kByteEpsilon) {
-            dropFlowLinks(it->second);
-            done.push_back(std::move(it->second));
-            it = flows_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    completed_ += done.size();
+    auto it = flows_.find(id);
+    assert(it != flows_.end()); // abort cancels the event
+    FlowState &flow = it->second;
+    assert(remainingNow(flow) <= kByteEpsilon); // ceiling-rounded
+    FlowEnd end;
+    end.id = id;
+    end.startTime = flow.startTime;
+    end.endTime = sim_.now();
+    end.bytes = flow.total;
+    FlowCallback done = std::move(flow.done);
+    dropFlowLinks(flow);
+    flows_.erase(it);
+    ++completed_;
 
     markDirty();
 
-    // Invoke callbacks last: they commonly start the next round's flows,
-    // which fold into the already-scheduled deferred recompute.
-    for (auto &flow : done) {
-        if (flow.done) {
-            FlowEnd end;
-            end.id = flow.id;
-            end.startTime = flow.startTime;
-            end.endTime = sim_.now();
-            end.bytes = flow.total;
-            flow.done(end);
-        }
-    }
+    // Invoke the callback last: it commonly starts the next round's
+    // flows, which fold into the already-scheduled deferred recompute.
+    if (done)
+        done(end);
 }
 
 std::size_t
@@ -715,11 +683,10 @@ Bytes
 Fabric::flowRemaining(FlowId id)
 {
     flush();
-    advanceProgress();
     auto it = flows_.find(id);
     return it == flows_.end()
                ? 0
-               : static_cast<Bytes>(std::ceil(it->second.remaining));
+               : static_cast<Bytes>(std::ceil(remainingNow(it->second)));
 }
 
 Bandwidth
@@ -752,9 +719,22 @@ Fabric::linkDemandRatio(LinkId id)
 double
 Fabric::nicCnpRate(NodeId node, NicId nic)
 {
+    if (node < 0 || node >= topo_.numNodes() || nic < 0 ||
+        nic >= topo_.nicsPerNode())
+        return 0.0;
     flush();
-    auto it = nicCnp_.find(nicKey(node, nic));
-    return it == nicCnp_.end() ? 0.0 : it->second;
+    // Every request-backed flow from this NIC leaves through one of
+    // its two host uplinks, and only those flows do.
+    double sum = 0.0;
+    for (Plane plane : {Plane::Left, Plane::Right}) {
+        for (FlowId fid :
+             membership_.members(topo_.hostUplink(node, nic, plane))) {
+            const FlowState &flow = flows_.find(fid)->second;
+            if (flow.hasReq)
+                sum += flow.cnpRate;
+        }
+    }
+    return sum;
 }
 
 } // namespace c4::net

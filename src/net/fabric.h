@@ -4,9 +4,9 @@
  *
  * Flows are (route, bytes) pairs. At any instant, active flow rates are
  * the max-min fair allocation over directed link capacities (progressive
- * filling). The engine is event driven: it advances to the next flow
- * completion; starting/aborting a flow, failing a link, or scaling a
- * link's capacity triggers re-allocation.
+ * filling). The engine is event driven: each running flow owns one
+ * kernel event for its finish time; starting/aborting a flow, failing a
+ * link, or scaling a link's capacity triggers re-allocation.
  *
  * This granularity is exactly what C4 observes in production: message
  * completion times, per-port throughput, and CNP (Congestion Notification
@@ -15,19 +15,30 @@
  * small sender-side rate fluctuation (paper Fig. 11's 12.5-17.5 kp/s band
  * and Fig. 10b's residual spread).
  *
- * Re-allocation is *incremental*: the fabric tracks dirty links (link
- * up/down, capacity scaling, membership changes from flow
- * start/end/abort/stall) and re-runs progressive filling only over the
- * connected component of flows reachable from dirty links through
- * shared-link membership. Progressive filling couples flows only
- * through shared links, so components fill independently and the
- * component-scoped result is exactly the global one; flows outside the
- * component keep their fair-share rates and link allocations. The
- * stochastic DCQCN overlay (CNP noise + sender jitter) remains a cheap
- * global pass so its RNG stream — and therefore every existing golden
- * CSV — is byte-identical to the historical full-rebuild allocator.
- * Set FabricConfig::incrementalRecompute = false to force the old
- * every-flow rebuild (the shadow reference for equivalence tests).
+ * Re-allocation is *incremental* and costs O(dirty component): the
+ * fabric tracks dirty links (link up/down, capacity scaling, membership
+ * changes from flow start/end/abort/stall) and re-runs progressive
+ * filling only over the connected component of flows reachable from
+ * dirty links through shared-link membership. Progressive filling
+ * couples flows only through shared links, so components fill
+ * independently and the component-scoped result is exactly the global
+ * one; flows outside the component are not visited at all.
+ *
+ * Everything else a flow carries is local to it as well:
+ * - progress is lazy: (remaining, rate, bankedAt) is banked only when
+ *   the flow's rate changes, and flowRemaining() extrapolates;
+ * - the finish-time event is rescheduled only when the rate changes
+ *   and fires at the ceiling nanosecond, so it always completes the
+ *   flow;
+ * - the DCQCN overlay draws its CNP noise and jitter from a
+ *   counter-based stream keyed by (fabric seed, flow id, draw index),
+ *   and the draw index advances only when the flow's fill result
+ *   (fair share, bottleneck overload, congested flag) changes.
+ *
+ * The last point makes the overlay a pure function of each flow's own
+ * fill history, so FabricConfig::incrementalRecompute = false (every
+ * recompute re-fills every flow: the shadow reference for the
+ * equivalence tests) produces exactly the same state with jitter on.
  */
 
 #ifndef C4_NET_FABRIC_H
@@ -65,7 +76,8 @@ struct FabricConfig
      */
     double cnpRatePerOverload = 7500.0;
 
-    /** Multiplicative noise applied to CNP rates on each re-allocation. */
+    /** Multiplicative noise on CNP rates, redrawn whenever a flow's
+     * fill result changes. */
     double cnpNoise = 0.15;
 
     /**
@@ -126,7 +138,7 @@ class Fabric
      * @param topo wiring; the fabric registers no callbacks, callers must
      *        route link failures through Fabric::setLinkUp so flows reroute
      * @param cfg congestion model tunables
-     * @param seed RNG stream for jitter/CNP noise
+     * @param seed key of the counter-based jitter/CNP noise draws
      */
     Fabric(Simulator &sim, Topology &topo, FabricConfig cfg = {},
            std::uint64_t seed = 0xC4C4C4C4ull);
@@ -193,9 +205,9 @@ class Fabric
 
     /**
      * CNPs per second currently delivered to the sender-side bonded port
-     * (NIC) — the paper's Fig. 11 metric. Aggregates both planes.
-     * O(1): served from a per-(node, nic) aggregate maintained by
-     * recompute(), so C4D-style polling of every NIC stays cheap.
+     * (NIC) — the paper's Fig. 11 metric. Aggregates both planes by
+     * summing the request-backed flows on the NIC's two host uplinks
+     * (O(uplink degree); 0 for an out-of-range node or NIC).
      */
     double nicCnpRate(NodeId node, NicId nic);
 
@@ -228,16 +240,25 @@ class Fabric
         PathRequest req;
         bool hasReq = false;
         Route route;
-        double remaining = 0.0; // bytes
         Bytes total = 0;
         Time startTime = 0;
+        // Lazy progress: bytes left at bankedAt, draining at `rate`.
+        double remaining = 0.0;
+        Time bankedAt = 0;
+        // Fill result of the last recompute that reached this flow.
         double baseRate = 0.0; // pure fair share, bits/s
-        double rate = 0.0;     // post-jitter sending rate, bits/s
+        double overload = 0.0; // bottleneck demand ratio - 1
+        bool congested = false;
+        double rate = 0.0; // post-jitter sending rate, bits/s
         double cnpRate = 0.0;
+        std::uint64_t draws = 0; // overlay draw index
         bool stalled = false;
+        // Progressive-filling scratch: -1 until fixed.
+        double fill = 0.0;
         // Component-closure visit stamp; flows whose stamp matches the
         // fabric's current recompute epoch are being re-filled.
         std::uint64_t visitEpoch = 0;
+        EventId completion = kInvalidEvent; // finish-time event
         FlowCallback done;
     };
 
@@ -245,19 +266,14 @@ class Fabric
     Topology &topo_;
     PathSelector selector_;
     FabricConfig cfg_;
-    Rng rng_;
+    std::uint64_t seed_;
 
     std::unordered_map<FlowId, FlowState> flows_;
     FlowId nextFlowId_ = 1;
 
-    // Aggregate CNP rate per sender (node, nic), rebuilt by recompute().
-    std::unordered_map<std::uint64_t, double> nicCnp_;
-
-    Time lastAdvance_ = 0;
     bool dirty_ = false;
     Time recomputeDue_ = 0; // when the pending deferred recompute fires
     EventId recomputeEvent_ = kInvalidEvent;
-    EventId completionEvent_ = kInvalidEvent;
 
     // Persistent allocation state: with incremental recompute these
     // survive across re-allocations and only the links of the dirty
@@ -273,15 +289,12 @@ class Fabric
     // Dirty-link accumulator between recomputes.
     std::vector<LinkId> dirtyLinks_;
     std::vector<char> linkDirtyFlag_;
-    // Escape hatch: force the next recompute to rebuild every flow
-    // (equivalent to dirtying all links). Every mutation path dirties
-    // its links eagerly, so this stays false in normal operation.
-    bool allDirty_ = false;
 
     // Component-closure stamps (flows carry theirs in FlowState).
     std::uint64_t epoch_ = 0;
     std::vector<std::uint64_t> linkEpoch_;
     std::vector<LinkId> componentLinks_;
+    std::vector<FlowState *> componentFlows_;
 
     // Reused allocation scratch (recompute runs on every flow event;
     // per-call vector-of-vectors allocation dominated profiles).
@@ -290,6 +303,7 @@ class Fabric
     std::vector<int> scratchUnfixed_;
     std::vector<int> scratchActiveLinks_;
     std::vector<FlowState *> scratchRunnable_;
+    std::vector<FlowId> scratchIds_;
 
     std::uint64_t completed_ = 0;
     std::uint64_t started_ = 0;
@@ -299,8 +313,24 @@ class Fabric
 
     FlowId admit(FlowState state);
 
-    /** Apply elapsed time to flows' remaining bytes. */
-    void advanceProgress();
+    /** Bytes @p flow still has to send at the current instant. */
+    double remainingNow(const FlowState &flow) const;
+
+    /**
+     * Change @p flow's sending rate: bank its progress at the old rate
+     * and reschedule its finish-time event. A no-op for an equal rate.
+     */
+    void setRate(FlowState &flow, double rate);
+
+    /** (Re)schedule @p flow's finish-time event for its current rate. */
+    void scheduleCompletion(FlowState &flow);
+
+    /**
+     * Record @p flow's fill result; when it differs from the last one,
+     * advance the flow's draw index and redraw its DCQCN overlay.
+     */
+    void applyFill(FlowState &flow, double baseRate, double overload,
+                   bool congested);
 
     /**
      * Mark allocation stale and schedule a recompute @p delay from
@@ -318,14 +348,14 @@ class Fabric
     /** Unregister a departing flow's route links, dirtying them. */
     void dropFlowLinks(FlowState &flow);
 
-    /** Recompute fair-share rates and schedule the next completion. */
+    /** Re-fill the dirty component and update its flows' rates. */
     void recompute();
 
     /** Ensure rates are consistent before a query. */
     void flush();
 
-    /** Fire completions whose remaining bytes reached zero. */
-    void onCompletionEvent();
+    /** Finish-time event of flow @p id: complete it. */
+    void onFlowDone(FlowId id);
 
     /** @return the number of flows whose routes were touched. */
     std::size_t rerouteFlowsTouching(LinkId id);

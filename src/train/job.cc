@@ -46,6 +46,7 @@ TrainingJob::start()
     assert(state_ == State::Idle || state_ == State::Stopped ||
            state_ == State::Failed);
     state_ = State::Initializing;
+    workerDead_ = false;
     const std::uint64_t epoch = ++epoch_;
     phaseEvent_ = sim_.scheduleAfter(cfg_.initTime, [this, epoch] {
         if (epoch != epoch_)
@@ -338,6 +339,11 @@ TrainingJob::onDpGroupDone(std::uint64_t epoch,
 void
 TrainingJob::finishIteration()
 {
+    // Hops already in flight when a worker died may still drain, but
+    // the dead worker never takes its optimizer step: the iteration
+    // hangs until the watchdog or a restart.
+    if (workerDead_)
+        return;
     sim_.cancel(watchdog_);
     watchdog_ = kInvalidEvent;
 
@@ -410,6 +416,7 @@ TrainingJob::onWatchdog(std::uint64_t epoch)
 void
 TrainingJob::crashNode(NodeId node)
 {
+    workerDead_ = true;
     auto crash_in = [&](CommId comm) {
         if (comm == kInvalidId)
             return;

@@ -147,7 +147,8 @@ class TrainingJob
 
     /** @name Fault interface (used by the injector) @{ */
 
-    /** Kill the worker processes on a node: collectives stall. */
+    /** Kill the worker processes on a node: collectives stall, and
+     * no iteration completes until the job is restarted. */
     void crashNode(NodeId node);
 
     /** Make a node's compute slower by @p scale (>= 1; 1 clears). */
@@ -220,6 +221,7 @@ class TrainingJob
     EventId watchdog_ = kInvalidEvent;
     EventId phaseEvent_ = kInvalidEvent;
     std::uint64_t epoch_ = 0; ///< invalidates stale callbacks
+    bool workerDead_ = false; ///< crashNode since the last start()
 
     void setupComms();
     void teardownComms();

@@ -259,6 +259,45 @@ TEST(Fabric, ManyFlowsAllComplete)
     EXPECT_EQ(h.fabric.activeFlowCount(), 0u);
 }
 
+TEST(Fabric, CompletionFiresAtCeilingNanosecond)
+{
+    Harness h;
+    // 101 B at 200 Gbps takes 4.04 ns: the flow is done at 5 ns, and
+    // one finish-time event completes it there. Rounding the delay
+    // down fired a first event at 4 ns with a byte still unsent.
+    Time end_time = 0;
+    h.fabric.startFlow(h.request(0, 4), 101,
+                       [&](const FlowEnd &end) { end_time = end.endTime; });
+    h.sim.run();
+    EXPECT_EQ(end_time, 5);
+    // Admission recompute, the completion, the recompute it triggers.
+    EXPECT_EQ(h.sim.executedCount(), 3u);
+    EXPECT_EQ(h.fabric.reallocationCount(), 2u);
+}
+
+TEST(Fabric, NoCompletionEventFiresEmpty)
+{
+    // Every kernel event the fabric schedules is a recompute or the
+    // finish-time event of one flow, so with no queries forcing extra
+    // recomputes, events = recomputes + completed flows exactly.
+    Harness h(podConfig(), FabricConfig{}); // jitter: ragged rates
+    int done = 0;
+    std::uint32_t label = 0;
+    for (NodeId src = 0; src < 8; ++src) {
+        for (int i = 0; i < 4; ++i) {
+            PathRequest req = h.request(src, 8 + (src + i) % 8, ++label);
+            req.srcNic = i % h.topo.nicsPerNode();
+            h.fabric.startFlow(req, mib(64) + 13 * label,
+                               [&](const FlowEnd &) { ++done; });
+        }
+    }
+    h.sim.run();
+    EXPECT_EQ(done, 32);
+    EXPECT_EQ(h.sim.executedCount(),
+              h.fabric.totalFlowsCompleted() +
+                  h.fabric.reallocationCount());
+}
+
 TEST(Fabric, ZeroAndTinyFlows)
 {
     Harness h;
@@ -524,6 +563,55 @@ TEST(FabricIncremental, RefillIsAtLeastFiveTimesCheaperThanRebuild)
         << "full=" << full << " incr=" << incr;
 }
 
+TEST(FabricIncremental, RecomputeLeavesDisjointComponentUntouched)
+{
+    // Two fabrics run the same congested right-plane pair; only one of
+    // them also churns flows on the left plane, which shares no link
+    // with it. The pair's rates, CNP noise, progress and finish times
+    // must not notice: a recompute reaches its own component only.
+    auto run = [](bool churn) {
+        Harness h(podConfig(), FabricConfig{}); // jitter + CNP noise on
+        auto right = [&](NodeId dst, std::uint32_t label) {
+            PathRequest req = h.request(2, dst, label, kInvalidId,
+                                        planeIndex(Plane::Right));
+            req.txPlane = Plane::Right;
+            return req;
+        };
+        std::vector<Time> ends;
+        auto record = [&](const FlowEnd &end) {
+            ends.push_back(end.endTime);
+        };
+        const FlowId x = h.fabric.startFlow(right(6, 1), mib(64), record);
+        h.fabric.startFlow(right(7, 2), mib(96), record);
+        std::vector<double> seen;
+        for (int r = 0; r < 40; ++r) {
+            if (churn) {
+                const FlowId f = h.fabric.startFlow(
+                    h.request(0, 4 + r % 4,
+                              static_cast<std::uint32_t>(10 + r), kInvalidId,
+                              planeIndex(Plane::Left)),
+                    mib(1 + r), nullptr);
+                if (r % 3 == 0)
+                    h.fabric.abortFlow(f);
+            }
+            h.sim.run(h.sim.now() + microseconds(20));
+            seen.push_back(h.fabric.flowRate(x));
+            seen.push_back(h.fabric.nicCnpRate(2, 0));
+            seen.push_back(static_cast<double>(h.fabric.flowRemaining(x)));
+        }
+        h.sim.run();
+        for (Time t : ends)
+            seen.push_back(static_cast<double>(t));
+        return seen;
+    };
+    const std::vector<double> quiet = run(false);
+    const std::vector<double> busy = run(true);
+    ASSERT_EQ(quiet.size(), busy.size());
+    EXPECT_GT(quiet[1], 0.0); // the pair is congested and sees CNPs
+    for (std::size_t i = 0; i < quiet.size(); ++i)
+        EXPECT_EQ(quiet[i], busy[i]) << "observation " << i;
+}
+
 TEST(FabricIncremental, CoalesceWindowBatchesLinkEvents)
 {
     net::FabricConfig fc = testutil::quietFabricConfig();
@@ -617,20 +705,29 @@ TEST(Fabric, ExplicitRouteFlowsCarryDistinctJitterBias)
     const FlowId f3 =
         h.fabric.startFlowOnRoute(route, gib(1000), nullptr); // id 3
 
+    // Each round starts or aborts a competitor on the probers' own
+    // uplink, which changes their fill result and so redraws them.
     const int rounds = 400;
     double m1 = 0.0, m3 = 0.0;
-    const LinkId far = h.topo.trunkUplink(7, 7); // unrelated trunk
+    FlowId rival = kInvalidId;
     for (int r = 0; r < rounds; ++r) {
-        h.fabric.setLinkUp(far, r % 2 == 0 ? false : true);
+        if (r % 2 == 0) {
+            rival = h.fabric.startFlow(
+                h.request(0, 6, static_cast<std::uint32_t>(100 + r)),
+                gib(1000), nullptr);
+        } else {
+            h.fabric.abortFlow(rival);
+        }
         m1 += h.fabric.flowRate(f1);
         m3 += h.fabric.flowRate(f3);
     }
     m1 /= rounds;
     m3 /= rounds;
     // Expected separation: 0.5 * jitterMax * |bias1 - bias3| * base,
-    // with base = 100 Gbps and bias values ~0.35 vs ~0.72 for flow
-    // ids 1 and 3 — about 1.1 Gbps. Mean RNG noise over 400 rounds is
-    // ~0.05 Gbps, so a 0.5 Gbps floor is a safe discriminator.
+    // with base alternating 100 / 66.7 Gbps and bias values ~0.35 vs
+    // ~0.72 for flow ids 1 and 3 — about 0.9 Gbps. Mean noise over
+    // 400 draws is ~0.05 Gbps, so a 0.5 Gbps floor is a safe
+    // discriminator.
     EXPECT_GT(m1 - m3, gbps(0.5))
         << "mean rates: " << toGbps(m1) << " vs " << toGbps(m3);
 }

@@ -274,8 +274,9 @@ TEST(Fabric, CapacityScalingEmitsLinkScalePathRealloc)
     ASSERT_NE(scale, nullptr);
     EXPECT_EQ(scale->a, uplink);
     EXPECT_DOUBLE_EQ(scale->value, 0.5);
-    if (used)
+    if (used) {
         EXPECT_EQ(scale->b, 1); // one flow routed over the link
+    }
 }
 
 TEST(Fabric, RecomputeBeginReportsDirtyLinkSeeds)
