@@ -299,7 +299,7 @@ Fabric::scheduleCompletion(FlowState &flow)
         if (!(delay_ns < 0x1.0p63) ||
             static_cast<Duration>(delay_ns) > kTimeNever - now)
             return;
-        delay = std::max<Duration>(1, static_cast<Duration>(delay_ns));
+        delay = static_cast<Duration>(delay_ns); // >= 1: remaining > 0
     }
     const FlowId id = flow.id;
     flow.completion =

@@ -125,9 +125,10 @@ struct TopologyConfig
  * it to scope incremental re-allocation to the connected component of
  * flows reachable from a dirty link.
  *
- * Membership order is not meaningful: removal swap-pops, so callers
- * that need a deterministic order must impose their own (the fabric
- * orders by its flow-table iteration, never by this index).
+ * Membership order is deterministic (a function of the add/remove
+ * sequence) but not meaningful: removal swap-pops, so callers that
+ * need a canonical order must impose their own (the fabric sorts a
+ * component's flows by id before filling).
  */
 class LinkMembershipIndex
 {
