@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/log.h"
+#include "common/random.h"
 
 namespace c4::net {
 

@@ -48,7 +48,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/random.h"
 #include "common/types.h"
 #include "net/routing.h"
 #include "net/topology.h"

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "net/fabric.h"
 #include "testutil/testutil.h"
 
