@@ -50,7 +50,8 @@ struct PendingOp
 struct Accl::CommState
 {
     std::unique_ptr<Communicator> comm;
-    std::unordered_set<Rank> crashed;
+    std::vector<bool> crashed; // by rank
+    int crashedCount = 0;
     std::unordered_map<std::uint64_t, Connection> conns;
     CollSeq nextSeq = 1;
     std::deque<PendingOp> queue;
@@ -67,15 +68,20 @@ class Accl::Exec
   public:
     Exec(Accl &lib, CommState &cs, PendingOp op)
         : lib_(lib), cs_(cs), op_(std::move(op)),
-          alive_(std::make_shared<bool>(true))
+          heartbeats_(lib.monitor_.heartbeatRow(cs.comm->id(),
+                                                cs.comm->size()))
     {
     }
 
+    /** Aborts the live flows (the fabric never calls back an aborted
+     * flow) and cancels the pending events, so no callback outlives
+     * this executor. */
     ~Exec()
     {
-        *alive_ = false;
-        for (FlowId f : activeFlows_)
-            lib_.fabric_.abortFlow(f);
+        for (const FlowSlot &f : flows_) {
+            if (f.fid != kInvalidId)
+                lib_.fabric_.abortFlow(f.fid);
+        }
         for (EventId e : scheduledEvents_)
             lib_.sim_.cancel(e);
     }
@@ -98,7 +104,7 @@ class Accl::Exec
                 d = op_.delays[static_cast<std::size_t>(r)];
             const Time p = op_.postedAt + d;
             postTimes_[static_cast<std::size_t>(r)] = p;
-            if (!cs_.crashed.count(r)) {
+            if (!crashed(r)) {
                 t0 = std::max(t0, p);
                 min_post = std::min(min_post, p);
             }
@@ -113,10 +119,9 @@ class Accl::Exec
             // block forever — the paper's non-communication hang. Record
             // that the living ranks did show up, then stall.
             schedule(t0, [this] {
-                const Communicator &c = *cs_.comm;
-                for (Rank r = 0; r < c.size(); ++r) {
-                    if (!cs_.crashed.count(r))
-                        lib_.monitor_.heartbeat(c.id(), r,
+                for (Rank r = 0; r < cs_.comm->size(); ++r) {
+                    if (!crashed(r))
+                        lib_.monitor_.heartbeat(heartbeats_, r,
                                                 lib_.sim_.now());
                 }
             });
@@ -143,13 +148,31 @@ class Accl::Exec
         int round = 0;
         int pending = 0;
         bool finished = false;
-        std::vector<std::uint64_t> connsUsed; // for post-round rebalance
+        std::vector<Connection *> connsUsed; // for post-round rebalance
+    };
+
+    /**
+     * One in-flight fabric flow. Its callback captures only the slot
+     * index, which std::function stores without a heap allocation;
+     * fid == kInvalidId marks a free slot.
+     */
+    struct FlowSlot
+    {
+        FlowId fid = kInvalidId;
+        Connection *conn = nullptr;
+        int channel = 0;
+        Communicator::Boundary hop;
+        std::size_t qp = 0;
+        // The realized path, for the telemetry record.
+        net::Plane txPlane = net::Plane::Left;
+        std::int32_t spine = kInvalidId;
+        std::int32_t rxPlane = kInvalidId;
     };
 
     Accl &lib_;
     CommState &cs_;
     PendingOp op_;
-    std::shared_ptr<bool> alive_;
+    std::vector<Time> &heartbeats_; // this comm's monitor row
 
     std::vector<Time> postTimes_;
     Time minPost_ = 0;
@@ -160,7 +183,8 @@ class Accl::Exec
     std::vector<ChannelCursor> cursors_;
     int channelsFinished_ = 0;
 
-    std::unordered_set<FlowId> activeFlows_;
+    std::vector<FlowSlot> flows_;
+    std::vector<std::size_t> freeFlowSlots_;
     std::vector<EventId> scheduledEvents_;
 
     /** Schedule an executor callback; ~Exec cancels whatever of it is
@@ -361,7 +385,7 @@ class Accl::Exec
             w.recvWait =
                 startTime_ - postTimes_[static_cast<std::size_t>(r)];
             mon.record(w);
-            mon.heartbeat(comm.id(), r, startTime_);
+            mon.heartbeat(heartbeats_, r, startTime_);
         }
 
         if (cursors_.empty() || stages_.empty()) {
@@ -398,8 +422,7 @@ class Accl::Exec
         }
 
         for (const auto &hop : st.hops) {
-            if (cs_.crashed.count(hop.src) ||
-                cs_.crashed.count(hop.dst)) {
+            if (crashed(hop.src) || crashed(hop.dst)) {
                 // RDMA sends to/from a dead worker never get an ACK:
                 // the hop stays pending forever while healthy peers
                 // keep making (one round of) progress — the exact
@@ -418,10 +441,18 @@ class Accl::Exec
     }
 
     bool
+    crashed(Rank r) const
+    {
+        return cs_.crashed[static_cast<std::size_t>(r)];
+    }
+
+    bool
     nodeCrashed(NodeId node) const
     {
+        if (!anyCrash())
+            return false;
         for (Rank r : cs_.comm->ranksOnNode(node)) {
-            if (cs_.crashed.count(r))
+            if (crashed(r))
                 return true;
         }
         return false;
@@ -430,7 +461,7 @@ class Accl::Exec
     bool
     anyCrash() const
     {
-        return !cs_.crashed.empty();
+        return cs_.crashedCount > 0;
     }
 
     void
@@ -440,7 +471,7 @@ class Accl::Exec
 
         Connection &conn =
             lib_.getConnection(cs_, channel, hop.src, hop.dst);
-        cur.connsUsed.push_back(connKey(channel, hop.src, hop.dst));
+        cur.connsUsed.push_back(&conn);
 
         double wsum = 0.0;
         for (double w : conn.weights)
@@ -473,81 +504,68 @@ class Accl::Exec
             req.rxPlane = dec.rxPlane;
             req.flowLabel = dec.flowLabel;
 
-            auto weak = std::weak_ptr<bool>(alive_);
-            const std::size_t qi = q;
-            const auto key = connKey(channel, hop.src, hop.dst);
-            FlowId fid = lib_.fabric_.startFlow(
-                req, qbytes,
-                [this, weak, channel, hop, key, qi](
-                    const net::FlowEnd &end) {
-                    if (auto p = weak.lock(); p && *p)
-                        onFlowDone(channel, hop, key, qi, end);
-                });
-            activeFlows_.insert(fid);
-
-            // Capture the realized path for the telemetry record.
-            FlowMeta meta;
-            meta.channel = channel;
-            meta.hop = hop;
-            meta.qp = qi;
-            meta.txPlane = dec.txPlane;
-            if (const net::Route *route = lib_.fabric_.flowRoute(fid)) {
-                meta.spine = route->spine;
-                meta.rxPlane = net::planeIndex(route->rxPlane);
+            std::size_t slot = flows_.size();
+            if (freeFlowSlots_.empty()) {
+                flows_.emplace_back();
+            } else {
+                slot = freeFlowSlots_.back();
+                freeFlowSlots_.pop_back();
             }
-            pendingFlowMeta_[fid] = meta;
+            const FlowId fid = lib_.fabric_.startFlow(
+                req, qbytes, [this, slot](const net::FlowEnd &end) {
+                    onFlowDone(slot, end);
+                });
+
+            FlowSlot &f = flows_[slot];
+            f.fid = fid;
+            f.conn = &conn;
+            f.channel = channel;
+            f.hop = hop;
+            f.qp = q;
+            f.txPlane = dec.txPlane;
+            f.spine = kInvalidId;
+            f.rxPlane = kInvalidId;
+            if (const net::Route *route = lib_.fabric_.flowRoute(fid)) {
+                f.spine = route->spine;
+                f.rxPlane = net::planeIndex(route->rxPlane);
+            }
         }
     }
 
-    struct FlowMeta
-    {
-        int channel = 0;
-        Communicator::Boundary hop;
-        std::size_t qp = 0;
-        net::Plane txPlane = net::Plane::Left;
-        std::int32_t spine = kInvalidId;
-        std::int32_t rxPlane = kInvalidId;
-    };
-    std::unordered_map<FlowId, FlowMeta> pendingFlowMeta_;
-
     void
-    onFlowDone(int channel, const Communicator::Boundary &hop,
-               std::uint64_t key, std::size_t qp, const net::FlowEnd &end)
+    onFlowDone(std::size_t slot, const net::FlowEnd &end)
     {
-        const Communicator &comm = *cs_.comm;
-        activeFlows_.erase(end.id);
+        // Copy the slot out and free it first: hopDone() may start the
+        // next round (reusing or growing flows_) or destroy *this.
+        const FlowSlot f = flows_[slot];
+        flows_[slot].fid = kInvalidId;
+        freeFlowSlots_.push_back(slot);
 
-        FlowMeta meta;
-        if (auto it = pendingFlowMeta_.find(end.id);
-            it != pendingFlowMeta_.end()) {
-            meta = it->second;
-            pendingFlowMeta_.erase(it);
-        }
-
-        Connection &conn = cs_.conns.at(key);
-        const ConnContext &ctx = conn.ctxs[qp];
-        const PathDecision &dec = conn.decisions[qp];
+        const Connection &conn = *f.conn;
+        const ConnContext &ctx = conn.ctxs[f.qp];
+        const PathDecision &dec = conn.decisions[f.qp];
 
         ConnRecord rec;
-        rec.comm = comm.id();
+        rec.comm = cs_.comm->id();
         rec.seq = op_.seq;
-        rec.channel = channel;
-        rec.qpIndex = static_cast<int>(qp);
-        rec.qp = conn.qpIds[qp];
-        rec.srcRank = hop.src;
-        rec.dstRank = hop.dst;
+        rec.channel = f.channel;
+        rec.qpIndex = static_cast<int>(f.qp);
+        rec.qp = conn.qpIds[f.qp];
+        rec.srcRank = f.hop.src;
+        rec.dstRank = f.hop.dst;
         rec.srcNode = ctx.srcNode;
         rec.dstNode = ctx.dstNode;
         rec.srcNic = ctx.srcNic;
-        rec.txPlane = meta.txPlane;
-        rec.spine = meta.spine;
-        rec.rxPlane = meta.rxPlane;
+        rec.txPlane = f.txPlane;
+        rec.spine = f.spine;
+        rec.rxPlane = f.rxPlane;
         rec.bytes = end.bytes;
         rec.startTime = end.startTime;
         rec.endTime = end.endTime;
-        lib_.monitor_.record(rec);
-        lib_.monitor_.heartbeat(comm.id(), hop.src, end.endTime);
-        lib_.monitor_.heartbeat(comm.id(), hop.dst, end.endTime);
+        AcclMonitor &mon = lib_.monitor_;
+        mon.record(rec);
+        mon.heartbeat(heartbeats_, f.hop.src, end.endTime);
+        mon.heartbeat(heartbeats_, f.hop.dst, end.endTime);
 
         PathFeedback fb;
         fb.bytes = end.bytes;
@@ -555,15 +573,14 @@ class Accl::Exec
         fb.achievedRate = end.achievedRate();
         lib_.policy_->feedback(ctx, dec, fb);
 
-        hopDone(channel);
+        hopDone(f.channel);
     }
 
     void
     onNvlinkDone(int channel, NodeId node)
     {
-        const Communicator &comm = *cs_.comm;
-        for (Rank r : comm.ranksOnNode(node))
-            lib_.monitor_.heartbeat(comm.id(), r, lib_.sim_.now());
+        for (Rank r : cs_.comm->ranksOnNode(node))
+            lib_.monitor_.heartbeat(heartbeats_, r, lib_.sim_.now());
         hopDone(channel);
     }
 
@@ -583,10 +600,9 @@ class Accl::Exec
 
         // Give the policy a chance to rebalance the QP groups this round
         // used (C4P's dynamic load balance hook).
-        for (std::uint64_t key : cur.connsUsed) {
-            Connection &conn = cs_.conns.at(key);
-            lib_.policy_->rebalance(conn.ctxs, conn.decisions,
-                                    conn.weights);
+        for (Connection *conn : cur.connsUsed) {
+            lib_.policy_->rebalance(conn->ctxs, conn->decisions,
+                                    conn->weights);
         }
 
         ++cur.round;
@@ -625,7 +641,7 @@ class Accl::Exec
             rec.startTime = startTime_;
             rec.endTime = end;
             mon.record(rec);
-            mon.heartbeat(comm.id(), r, end);
+            mon.heartbeat(heartbeats_, r, end);
         }
         mon.opFinished(comm.id(), op_.seq, end);
 
@@ -670,6 +686,7 @@ Accl::createCommunicator(JobId job, std::vector<DeviceInfo> devices,
     auto cs = std::make_unique<CommState>();
     cs->comm = std::make_unique<Communicator>(id, job, std::move(devices),
                                               ch);
+    cs->crashed.assign(static_cast<std::size_t>(cs->comm->size()), false);
 
     CommRecord rec;
     rec.when = sim_.now();
@@ -847,13 +864,18 @@ Accl::crashRank(CommId comm, Rank rank)
 {
     CommState &cs = state(comm);
     assert(rank >= 0 && rank < cs.comm->size());
-    cs.crashed.insert(rank);
+    if (!cs.crashed[static_cast<std::size_t>(rank)]) {
+        cs.crashed[static_cast<std::size_t>(rank)] = true;
+        ++cs.crashedCount;
+    }
 }
 
 bool
 Accl::rankCrashed(CommId comm, Rank rank) const
 {
-    return state(comm).crashed.count(rank) > 0;
+    const CommState &cs = state(comm);
+    return rank >= 0 && rank < cs.comm->size() &&
+           cs.crashed[static_cast<std::size_t>(rank)];
 }
 
 void

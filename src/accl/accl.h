@@ -18,10 +18,8 @@
 #define C4_ACCL_ACCL_H
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "accl/collective.h"

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace c4::accl {
 
@@ -17,15 +16,24 @@ Communicator::Communicator(CommId id, JobId job,
     if (channels_ < 1)
         throw std::invalid_argument("Communicator needs >= 1 channel");
 
-    std::unordered_map<NodeId, int> per_node;
-    for (const auto &d : devices_) {
-        if (per_node.find(d.node) == per_node.end())
-            nodes_.push_back(d.node);
-        ++per_node[d.node];
+    for (Rank r = 0; r < size(); ++r) {
+        const NodeId node = devices_[static_cast<std::size_t>(r)].node;
+        if (node < 0)
+            throw std::invalid_argument("Communicator device has no node");
+        const auto ni = static_cast<std::size_t>(node);
+        if (ni >= nodeSlot_.size())
+            nodeSlot_.resize(ni + 1, -1);
+        if (nodeSlot_[ni] < 0) {
+            nodeSlot_[ni] = static_cast<int>(nodes_.size());
+            nodes_.push_back(node);
+            nodeRanks_.emplace_back();
+        }
+        nodeRanks_[static_cast<std::size_t>(nodeSlot_[ni])].push_back(r);
     }
     singleNode_ = nodes_.size() == 1;
-    for (const auto &[node, count] : per_node)
-        maxRanksPerNode_ = std::max(maxRanksPerNode_, count);
+    for (const auto &ranks : nodeRanks_)
+        maxRanksPerNode_ =
+            std::max(maxRanksPerNode_, static_cast<int>(ranks.size()));
 
     if (!singleNode_) {
         for (Rank r = 0; r < size(); ++r) {
@@ -45,15 +53,14 @@ Communicator::device(Rank r) const
     return devices_[static_cast<std::size_t>(r)];
 }
 
-std::vector<Rank>
+const std::vector<Rank> &
 Communicator::ranksOnNode(NodeId node) const
 {
-    std::vector<Rank> out;
-    for (Rank r = 0; r < size(); ++r) {
-        if (devices_[static_cast<std::size_t>(r)].node == node)
-            out.push_back(r);
-    }
-    return out;
+    static const std::vector<Rank> kNone;
+    if (node < 0 || static_cast<std::size_t>(node) >= nodeSlot_.size())
+        return kNone;
+    const int slot = nodeSlot_[static_cast<std::size_t>(node)];
+    return slot < 0 ? kNone : nodeRanks_[static_cast<std::size_t>(slot)];
 }
 
 std::string

@@ -64,8 +64,12 @@ class Communicator
     /** True if the whole communicator lives on a single node. */
     bool singleNode() const { return singleNode_; }
 
-    /** Ranks hosted on @p node, in rank order. */
-    std::vector<Rank> ranksOnNode(NodeId node) const;
+    /**
+     * Ranks hosted on @p node, in rank order; empty for a node the
+     * communicator does not use. The lists are built once, so this is
+     * a table lookup.
+     */
+    const std::vector<Rank> &ranksOnNode(NodeId node) const;
 
     /** Distinct nodes hosting at least one rank, in first-rank order. */
     const std::vector<NodeId> &nodes() const { return nodes_; }
@@ -96,6 +100,10 @@ class Communicator
     int maxRanksPerNode_ = 0;
     std::vector<NodeId> nodes_;
     std::vector<Boundary> boundaries_;
+    // Dense by NodeId (up to the largest node used): index into
+    // nodeRanks_, or -1 for a node hosting no rank.
+    std::vector<int> nodeSlot_;
+    std::vector<std::vector<Rank>> nodeRanks_; // parallel to nodes_
 };
 
 } // namespace c4::accl

@@ -37,19 +37,23 @@ AcclMonitor::record(const ConnRecord &r)
     push(conn_, r);
 }
 
-void
-AcclMonitor::heartbeat(CommId comm, Rank rank, Time when)
+std::vector<Time> &
+AcclMonitor::heartbeatRow(CommId comm, int nranks)
 {
-    if (!enabled_)
-        return;
-    heartbeats_[key(comm, rank)] = when;
+    std::vector<Time> &row = heartbeats_[comm];
+    if (row.size() < static_cast<std::size_t>(nranks))
+        row.resize(static_cast<std::size_t>(nranks), kTimeNever);
+    return row;
 }
 
 Time
 AcclMonitor::lastHeartbeat(CommId comm, Rank rank) const
 {
-    auto it = heartbeats_.find(key(comm, rank));
-    return it == heartbeats_.end() ? kTimeNever : it->second;
+    auto it = heartbeats_.find(comm);
+    if (it == heartbeats_.end() || rank < 0 ||
+        static_cast<std::size_t>(rank) >= it->second.size())
+        return kTimeNever;
+    return it->second[static_cast<std::size_t>(rank)];
 }
 
 void
@@ -91,12 +95,7 @@ void
 AcclMonitor::commClosed(CommId comm)
 {
     currentOps_.erase(comm);
-    for (auto it = heartbeats_.begin(); it != heartbeats_.end();) {
-        if (static_cast<CommId>(it->first >> 20) == comm)
-            it = heartbeats_.erase(it);
-        else
-            ++it;
-    }
+    heartbeats_.erase(comm);
 }
 
 const OpProgress *

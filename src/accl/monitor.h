@@ -148,8 +148,24 @@ class AcclMonitor
     void record(const RankWaitRecord &r);
     void record(const ConnRecord &r);
 
-    /** Note forward progress of a rank (any message/round completion). */
-    void heartbeat(CommId comm, Rank rank, Time when);
+    /**
+     * The dense heartbeat row of @p comm (one slot per rank, kTimeNever
+     * until the rank first makes progress), created and grown to
+     * @p nranks slots on demand. The reference stays valid until
+     * commClosed(@p comm); the executor caches it for the per-hop path.
+     */
+    std::vector<Time> &heartbeatRow(CommId comm, int nranks);
+
+    /**
+     * Note forward progress of a rank (any message/round completion)
+     * in a row from heartbeatRow(); @p rank must be inside the row.
+     */
+    void
+    heartbeat(std::vector<Time> &row, Rank rank, Time when)
+    {
+        if (enabled_)
+            row[static_cast<std::size_t>(rank)] = when;
+    }
 
     /** @name Operation progress tracking @{ */
     void opPosted(CommId comm, CollSeq seq, CollOp op, Bytes bytes,
@@ -198,8 +214,9 @@ class AcclMonitor
     std::deque<RankWaitRecord> rankWait_;
     std::deque<ConnRecord> conn_;
 
-    // (comm << 20 | rank) -> last progress time
-    std::unordered_map<std::uint64_t, Time> heartbeats_;
+    // comm -> last progress time per rank (node-based map: rows keep
+    // their address while other comms come and go)
+    std::unordered_map<CommId, std::vector<Time>> heartbeats_;
 
     // comm -> progress of its most recent operation
     std::unordered_map<CommId, OpProgress> currentOps_;
@@ -219,14 +236,6 @@ class AcclMonitor
             ++dropped_;
         }
         q.push_back(r);
-    }
-
-    static std::uint64_t
-    key(CommId comm, Rank rank)
-    {
-        return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(comm))
-                << 20) |
-               static_cast<std::uint32_t>(rank);
     }
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <map>
 #include <sstream>
 
 namespace c4::c4d {
@@ -25,20 +24,6 @@ DelayMatrix::add(Rank src, Rank dst, Bytes bytes, Duration duration)
     sumDelay_[idx(src, dst)] +=
         toSeconds(duration) / static_cast<double>(bytes);
     ++count_[idx(src, dst)];
-}
-
-DelayMatrix
-DelayMatrix::build(int nranks,
-                   const std::vector<accl::ConnRecord> &records)
-{
-    DelayMatrix m(nranks);
-    for (const auto &r : records) {
-        if (r.srcRank >= 0 && r.srcRank < nranks && r.dstRank >= 0 &&
-            r.dstRank < nranks) {
-            m.add(r.srcRank, r.dstRank, r.bytes, r.duration());
-        }
-    }
-    return m;
 }
 
 double
@@ -206,9 +191,51 @@ NonCommSlowFinding::str() const
     return buf;
 }
 
+namespace {
+
+struct MinWaitHits
+{
+    int hits = 0; ///< operations whose minimum-wait rank is the candidate
+    int ops = 0;  ///< operations with at least one in-range record
+};
+
+/**
+ * One pass over wait records grouped by sequence number (equal seqs
+ * adjacent): per operation, the first record with the smallest wait
+ * names its minimum-wait rank.
+ */
+template <typename It>
+MinWaitHits
+countMinWaitHits(It begin, It end, int nranks, Rank candidate)
+{
+    MinWaitHits out;
+    accl::CollSeq seq = 0;
+    Rank minRank = kInvalidId;
+    Duration minWait = 0;
+    for (It it = begin; it != end; ++it) {
+        const accl::RankWaitRecord &w = *it;
+        if (w.rank < 0 || w.rank >= nranks)
+            continue;
+        if (out.ops > 0 && w.seq == seq) {
+            if (w.recvWait >= minWait)
+                continue;
+            out.hits -= minRank == candidate ? 1 : 0; // a new minimum
+        } else {
+            ++out.ops; // the first record of the next operation
+            seq = w.seq;
+        }
+        minRank = w.rank;
+        minWait = w.recvWait;
+        out.hits += minRank == candidate ? 1 : 0;
+    }
+    return out;
+}
+
+} // namespace
+
+template <typename Records>
 NonCommSlowFinding
-analyzeNonCommSlow(int nranks,
-                   const std::vector<accl::RankWaitRecord> &waits,
+analyzeNonCommSlow(int nranks, const Records &waits,
                    const AnalyzerConfig &cfg)
 {
     NonCommSlowFinding finding;
@@ -217,16 +244,11 @@ analyzeNonCommSlow(int nranks,
 
     std::vector<double> sum(static_cast<std::size_t>(nranks), 0.0);
     std::vector<int> count(static_cast<std::size_t>(nranks), 0);
-    // Per-operation minimum-wait rank, for the consistency test.
-    std::map<accl::CollSeq, std::pair<Rank, Duration>> op_min;
-    for (const auto &w : waits) {
+    for (const accl::RankWaitRecord &w : waits) {
         if (w.rank >= 0 && w.rank < nranks) {
             sum[static_cast<std::size_t>(w.rank)] +=
                 static_cast<double>(w.recvWait);
             ++count[static_cast<std::size_t>(w.rank)];
-            auto it = op_min.find(w.seq);
-            if (it == op_min.end() || w.recvWait < it->second.second)
-                op_min[w.seq] = {w.rank, w.recvWait};
         }
     }
 
@@ -253,13 +275,25 @@ analyzeNonCommSlow(int nranks,
     // time; rotating load skew moves the minimum around the group.
     const auto candidate =
         static_cast<Rank>(std::distance(means.begin(), min_it));
-    if (!op_min.empty()) {
-        int hits = 0;
-        for (const auto &[seq, entry] : op_min)
-            hits += entry.first == candidate ? 1 : 0;
-        const double consistency =
-            static_cast<double>(hits) /
-            static_cast<double>(op_min.size());
+    // The monitor emits each operation's records together and in seq
+    // order, so the window is read in place; any other order is grouped
+    // by a stable sort of a copy (ties keep their first record).
+    auto bySeq = [](const accl::RankWaitRecord &a,
+                    const accl::RankWaitRecord &b) { return a.seq < b.seq; };
+    MinWaitHits mins;
+    if (std::is_sorted(waits.begin(), waits.end(), bySeq)) {
+        mins = countMinWaitHits(waits.begin(), waits.end(), nranks,
+                                candidate);
+    } else {
+        std::vector<accl::RankWaitRecord> grouped(waits.begin(),
+                                                  waits.end());
+        std::stable_sort(grouped.begin(), grouped.end(), bySeq);
+        mins = countMinWaitHits(grouped.begin(), grouped.end(), nranks,
+                                candidate);
+    }
+    if (mins.ops > 0) {
+        const double consistency = static_cast<double>(mins.hits) /
+                                   static_cast<double>(mins.ops);
         if (consistency < cfg.stragglerConsistency)
             return finding; // transient imbalance, not a straggler
     }
@@ -270,6 +304,13 @@ analyzeNonCommSlow(int nranks,
     finding.stragglerWait = static_cast<Duration>(straggler_wait);
     return finding;
 }
+
+template NonCommSlowFinding
+analyzeNonCommSlow(int, const std::vector<accl::RankWaitRecord> &,
+                   const AnalyzerConfig &);
+template NonCommSlowFinding
+analyzeNonCommSlow(int, const std::deque<accl::RankWaitRecord> &,
+                   const AnalyzerConfig &);
 
 const char *
 hangKindName(HangKind kind)

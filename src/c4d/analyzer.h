@@ -17,6 +17,7 @@
 #ifndef C4_C4D_ANALYZER_H
 #define C4_C4D_ANALYZER_H
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -37,9 +38,23 @@ class DelayMatrix
     /** Accumulate one message observation. */
     void add(Rank src, Rank dst, Bytes bytes, Duration duration);
 
-    /** Build directly from a batch of connection records. */
-    static DelayMatrix build(int nranks,
-                             const std::vector<accl::ConnRecord> &records);
+    /**
+     * Build directly from connection records: any range of ConnRecord,
+     * e.g. a drained batch or the master's window, read in place.
+     */
+    template <typename Records>
+    static DelayMatrix
+    build(int nranks, const Records &records)
+    {
+        DelayMatrix m(nranks);
+        for (const accl::ConnRecord &r : records) {
+            if (r.srcRank >= 0 && r.srcRank < nranks && r.dstRank >= 0 &&
+                r.dstRank < nranks) {
+                m.add(r.srcRank, r.dstRank, r.bytes, r.duration());
+            }
+        }
+        return m;
+    }
 
     int size() const { return n_; }
 
@@ -143,12 +158,19 @@ struct NonCommSlowFinding
  * near-zero wait while its peers' waits are large.
  *
  * @param nranks communicator size
- * @param waits wait records over the analysis window (>= 1 op)
+ * @param waits wait records over the analysis window (>= 1 op), read in
+ *        place: a std::vector or std::deque of RankWaitRecord
  */
-NonCommSlowFinding
-analyzeNonCommSlow(int nranks,
-                   const std::vector<accl::RankWaitRecord> &waits,
-                   const AnalyzerConfig &cfg = {});
+template <typename Records>
+NonCommSlowFinding analyzeNonCommSlow(int nranks, const Records &waits,
+                                      const AnalyzerConfig &cfg = {});
+
+extern template NonCommSlowFinding
+analyzeNonCommSlow(int, const std::vector<accl::RankWaitRecord> &,
+                   const AnalyzerConfig &);
+extern template NonCommSlowFinding
+analyzeNonCommSlow(int, const std::deque<accl::RankWaitRecord> &,
+                   const AnalyzerConfig &);
 
 /** Hang classification of one communicator's current operation. */
 enum class HangKind {

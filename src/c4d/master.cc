@@ -192,10 +192,8 @@ C4dMaster::evaluateComm(CommId comm, CommHealth &health)
 
     // 2. Communication slow (delay-matrix localization, Fig. 7).
     if (!health.conns.empty()) {
-        std::vector<accl::ConnRecord> window(health.conns.begin(),
-                                             health.conns.end());
         const DelayMatrix matrix =
-            DelayMatrix::build(health.nranks, window);
+            DelayMatrix::build(health.nranks, health.conns);
         const CommSlowFinding slow =
             analyzeCommSlow(matrix, cfg_.analyzer);
         if (slow.found() && cooldownOk(health, C4dEventKind::CommSlow)) {
@@ -221,10 +219,8 @@ C4dMaster::evaluateComm(CommId comm, CommHealth &health)
 
     // 3. Non-communication slow (receiver wait chain).
     if (!health.waits.empty()) {
-        std::vector<accl::RankWaitRecord> window(health.waits.begin(),
-                                                 health.waits.end());
         const NonCommSlowFinding straggler =
-            analyzeNonCommSlow(health.nranks, window, cfg_.analyzer);
+            analyzeNonCommSlow(health.nranks, health.waits, cfg_.analyzer);
         if (straggler.found &&
             cooldownOk(health, C4dEventKind::NonCommSlow)) {
             C4dEvent ev;

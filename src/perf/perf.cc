@@ -234,16 +234,83 @@ peakRssKbNow()
     return static_cast<std::uint64_t>(usage.ru_maxrss);
 }
 
-std::uint64_t
-medianOf(std::vector<std::uint64_t> ns)
+/** Lower median: for an even count it keeps the value of an actually
+ * observed rep (and an integer statistic integral). */
+template <typename T>
+T
+medianOf(std::vector<T> v)
 {
-    std::sort(ns.begin(), ns.end());
-    const std::size_t n = ns.size();
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
     if (n == 0)
-        return 0;
-    // Even count: lower-median keeps the value an actually-observed
-    // rep (and the statistic integral).
-    return ns[(n - 1) / 2];
+        return T{};
+    return v[(n - 1) / 2];
+}
+
+/** One workload and its per-rep measurements. */
+struct Samples
+{
+    const Workload *w = nullptr;
+    std::uint64_t items = 0;
+    std::vector<std::uint64_t> ns;
+    std::vector<std::uint64_t> allocCounts;
+    std::vector<std::uint64_t> allocBytes;
+
+    /** Run one timed rep, recording its wall time and heap traffic. */
+    void
+    timeRep()
+    {
+        const AllocStats before = allocStatsNow();
+        const auto start = Clock::now();
+        w->fn(items);
+        const auto elapsed = Clock::now() - start;
+        const AllocStats after = allocStatsNow();
+        ns.push_back(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                .count()));
+        allocCounts.push_back(after.count - before.count);
+        allocBytes.push_back(after.bytes - before.bytes);
+    }
+
+    WorkloadResult
+    summarize(int warmup) const
+    {
+        WorkloadResult r;
+        r.name = w->name;
+        r.reps = static_cast<int>(ns.size());
+        r.warmup = warmup;
+        r.itemsPerRep = items;
+        r.medianNs = medianOf(ns);
+        r.minNs = *std::min_element(ns.begin(), ns.end());
+        r.itemsPerSecMedian = r.medianNs > 0
+                                  ? static_cast<double>(items) * 1e9 /
+                                        static_cast<double>(r.medianNs)
+                                  : 0.0;
+        r.itemsPerSecBest = r.minNs > 0
+                                ? static_cast<double>(items) * 1e9 /
+                                      static_cast<double>(r.minNs)
+                                : 0.0;
+        // Medians keep a one-off lazy initialization (first use of a
+        // static, an arena growth) in an early rep from skewing the
+        // reported steady-state heap traffic.
+        r.allocCount = medianOf(allocCounts);
+        r.allocBytes = medianOf(allocBytes);
+        r.peakRssKb = peakRssKbNow();
+        return r;
+    }
+};
+
+/** The shared stem if @p a is "<stem>_pooled" and @p b is
+ * "<stem>_legacy", else empty. */
+std::string
+pairStem(const std::string &a, const std::string &b)
+{
+    const std::string suffix = "_pooled";
+    if (a.size() <= suffix.size() ||
+        a.compare(a.size() - suffix.size(), suffix.size(), suffix) != 0)
+        return {};
+    std::string stem = a.substr(0, a.size() - suffix.size());
+    return b == stem + "_legacy" ? stem : std::string();
 }
 
 } // namespace
@@ -251,78 +318,61 @@ medianOf(std::vector<std::uint64_t> ns)
 PerfReport
 runPerf(const PerfOptions &opt)
 {
-    PerfReport report;
-    for (const Workload &w : workloadSet()) {
-        if (!opt.only.empty() &&
-            std::string(w.name).find(opt.only) == std::string::npos)
-            continue;
-        const std::uint64_t items =
-            opt.smoke ? w.itemsSmoke : w.itemsFull;
-        for (int i = 0; i < opt.warmup; ++i)
-            w.fn(items);
-        std::vector<std::uint64_t> ns;
-        std::vector<std::uint64_t> allocCounts;
-        std::vector<std::uint64_t> allocBytes;
-        ns.reserve(static_cast<std::size_t>(std::max(opt.reps, 1)));
-        for (int i = 0; i < std::max(opt.reps, 1); ++i) {
-            const AllocStats before = allocStatsNow();
-            const auto start = Clock::now();
-            w.fn(items);
-            ns.push_back(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    Clock::now() - start)
-                    .count()));
-            const AllocStats after = allocStatsNow();
-            allocCounts.push_back(after.count - before.count);
-            allocBytes.push_back(after.bytes - before.bytes);
-        }
-        WorkloadResult r;
-        r.name = w.name;
-        r.reps = static_cast<int>(ns.size());
-        r.warmup = opt.warmup;
-        r.itemsPerRep = items;
-        r.medianNs = medianOf(ns);
-        r.minNs = *std::min_element(ns.begin(), ns.end());
-        r.itemsPerSecMedian =
-            r.medianNs > 0
-                ? static_cast<double>(items) * 1e9 /
-                      static_cast<double>(r.medianNs)
-                : 0.0;
-        r.itemsPerSecBest =
-            r.minNs > 0 ? static_cast<double>(items) * 1e9 /
-                              static_cast<double>(r.minNs)
-                        : 0.0;
-        // Medians keep a one-off lazy initialization (first use of a
-        // static, an arena growth) in an early rep from skewing the
-        // reported steady-state heap traffic.
-        r.allocCount = medianOf(allocCounts);
-        r.allocBytes = medianOf(allocBytes);
-        r.peakRssKb = peakRssKbNow();
-        report.workloads.push_back(std::move(r));
+    std::vector<Workload> selected;
+    for (Workload &w : workloadSet()) {
+        if (opt.only.empty() ||
+            std::string(w.name).find(opt.only) != std::string::npos)
+            selected.push_back(std::move(w));
     }
 
-    // Derive pooled-vs-legacy speedups for every measured pair.
-    for (const WorkloadResult &pooled : report.workloads) {
-        const std::string suffix = "_pooled";
-        if (pooled.name.size() <= suffix.size() ||
-            pooled.name.compare(pooled.name.size() - suffix.size(),
-                                suffix.size(), suffix) != 0)
-            continue;
+    PerfReport report;
+    for (std::size_t i = 0; i < selected.size();) {
+        // A *_pooled workload and the *_legacy one listed after it run
+        // their reps alternately, so a slow phase of the host slows
+        // both halves of a rep alike and the per-rep ratio cancels it.
         const std::string stem =
-            pooled.name.substr(0, pooled.name.size() - suffix.size());
-        for (const WorkloadResult &legacy : report.workloads) {
-            if (legacy.name != stem + "_legacy")
-                continue;
-            KernelRatio ratio;
-            ratio.name = stem;
-            if (legacy.itemsPerSecMedian > 0)
-                ratio.speedupMedian = pooled.itemsPerSecMedian /
-                                      legacy.itemsPerSecMedian;
-            if (legacy.itemsPerSecBest > 0)
-                ratio.speedupBest =
-                    pooled.itemsPerSecBest / legacy.itemsPerSecBest;
-            report.ratios.push_back(std::move(ratio));
+            i + 1 < selected.size()
+                ? pairStem(selected[i].name, selected[i + 1].name)
+                : std::string();
+        std::vector<Samples> group(stem.empty() ? 1 : 2);
+        for (std::size_t k = 0; k < group.size(); ++k) {
+            group[k].w = &selected[i + k];
+            group[k].items = opt.smoke ? selected[i + k].itemsSmoke
+                                       : selected[i + k].itemsFull;
         }
+        i += group.size();
+        for (int rep = 0; rep < opt.warmup; ++rep) {
+            for (const Samples &g : group)
+                g.w->fn(g.items);
+        }
+        for (int rep = 0; rep < std::max(opt.reps, 1); ++rep) {
+            for (Samples &g : group)
+                g.timeRep();
+        }
+        for (const Samples &g : group)
+            report.workloads.push_back(g.summarize(opt.warmup));
+        if (stem.empty())
+            continue;
+
+        // Per rep: pooled items/s over legacy items/s.
+        auto rate = [](const Samples &g, std::size_t rep) {
+            return static_cast<double>(g.items) /
+                   static_cast<double>(g.ns[rep]);
+        };
+        std::vector<double> perRep;
+        for (std::size_t r = 0; r < group[0].ns.size(); ++r) {
+            if (group[0].ns[r] > 0 && group[1].ns[r] > 0)
+                perRep.push_back(rate(group[0], r) / rate(group[1], r));
+        }
+        const WorkloadResult &pooled = report.workloads.end()[-2];
+        const WorkloadResult &legacy = report.workloads.end()[-1];
+        KernelRatio ratio;
+        ratio.name = stem;
+        ratio.speedupMedian = medianOf(std::move(perRep));
+        if (legacy.itemsPerSecBest > 0)
+            ratio.speedupBest =
+                pooled.itemsPerSecBest / legacy.itemsPerSecBest;
+        report.ratios.push_back(std::move(ratio));
     }
     return report;
 }

@@ -260,6 +260,36 @@ TEST(Accl, DestroyCommunicatorAbortsInFlight)
     EXPECT_EQ(h.fabric.activeFlowCount(), 0u);
 }
 
+TEST(Accl, DestroyCommunicatorMidFlightFiresNoFlowCallback)
+{
+    Harness h(2);
+    CommId comm = h.lib.createCommunicator(1, h.fullNodes({0, 1}));
+    bool fired = false;
+    h.lib.postCollective(comm, CollOp::AllReduce, gib(8),
+                         [&](const CollectiveResult &) { fired = true; });
+    h.sim.run(milliseconds(100));
+    ASSERT_GT(h.fabric.activeFlowCount(), 0u);
+    const std::uint64_t conns = h.lib.monitor().totalConnRecords();
+    ASSERT_GT(conns, 0u); // earlier rounds' flows did complete
+
+    h.lib.destroyCommunicator(comm);
+    // The executor aborted its live flows (aborts never call back)...
+    EXPECT_EQ(h.fabric.activeFlowCount(), 0u);
+    h.sim.run();
+    // ...so no flow completion reached the monitor afterwards.
+    EXPECT_EQ(h.lib.monitor().totalConnRecords(), conns);
+    EXPECT_EQ(h.lib.monitor().lastHeartbeat(comm, 0), kTimeNever);
+    EXPECT_FALSE(fired);
+
+    // The fabric and the library carry on with a fresh communicator.
+    CommId next = h.lib.createCommunicator(1, h.fullNodes({0, 1}));
+    h.lib.postCollective(next, CollOp::AllReduce, mib(64),
+                         [&](const CollectiveResult &) { fired = true; });
+    h.sim.run();
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(h.fabric.activeFlowCount(), 0u);
+}
+
 TEST(Accl, DestroyCommunicatorCancelsPendingExecutorEvents)
 {
     Harness h(2);

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <functional>
+#include <utility>
 
 #include "c4d/analyzer.h"
 
@@ -213,6 +215,82 @@ TEST(AnalyzeNonCommSlow, NeedsFullCoverage)
                                  }),
                   records.end());
     EXPECT_FALSE(analyzeNonCommSlow(8, records).found);
+}
+
+/** Rank-major copy of an op-major window: every op's records are
+ * interleaved with the other ops', in the same order within an op. */
+std::vector<RankWaitRecord>
+rankMajor(const std::vector<RankWaitRecord> &records)
+{
+    std::vector<RankWaitRecord> out = records;
+    std::stable_sort(out.begin(), out.end(),
+                     [](const RankWaitRecord &a, const RankWaitRecord &b) {
+                         return a.rank < b.rank;
+                     });
+    return out;
+}
+
+TEST(AnalyzeNonCommSlow, ConsistencyCountsEveryOpOnceInAnyOrder)
+{
+    // 10 ops, 4 ranks. Rank 1 is the minimum in the first `persistent`
+    // ops and waits 200 ms after; rank 2 is the minimum in the rest.
+    auto window = [](int persistent) {
+        std::vector<RankWaitRecord> out;
+        for (int op = 0; op < 10; ++op) {
+            for (Rank r = 0; r < 4; ++r) {
+                RankWaitRecord w;
+                w.comm = 1;
+                w.seq = static_cast<accl::CollSeq>(op + 1);
+                w.rank = r;
+                w.recvWait = milliseconds(800);
+                if (r == 1)
+                    w.recvWait = milliseconds(op < persistent ? 1 : 200);
+                if (r == 2 && op >= persistent)
+                    w.recvWait = milliseconds(1);
+                out.push_back(w);
+            }
+        }
+        return out;
+    };
+    // 7/10 >= 0.6 consistency: a straggler; 5/10: rotating skew.
+    for (const auto &[persistent, expect] :
+         {std::pair{7, true}, std::pair{5, false}}) {
+        const auto records = window(persistent);
+        const std::deque<RankWaitRecord> deque(records.begin(),
+                                               records.end());
+        const auto inOrder = analyzeNonCommSlow(4, records);
+        EXPECT_EQ(inOrder.found, expect) << persistent;
+        EXPECT_EQ(inOrder.rank, expect ? 1 : kInvalidId);
+        for (const NonCommSlowFinding &f :
+             {analyzeNonCommSlow(4, deque),
+              analyzeNonCommSlow(4, rankMajor(records))}) {
+            EXPECT_EQ(f.found, inOrder.found) << persistent;
+            EXPECT_EQ(f.rank, inOrder.rank);
+            EXPECT_EQ(f.medianWait, inOrder.medianWait);
+            EXPECT_EQ(f.stragglerWait, inOrder.stragglerWait);
+        }
+    }
+}
+
+TEST(AnalyzeNonCommSlow, TiedMinimumGoesToTheFirstRecordOfTheOp)
+{
+    // Ranks 1 and 2 tie at 1 ms in every op; rank 1 (the lower mean
+    // index, so the candidate) is also each op's first minimum.
+    auto records = waits(4, [](Rank r) {
+        return r == 1 || r == 2 ? milliseconds(1) : milliseconds(800);
+    });
+    EXPECT_EQ(analyzeNonCommSlow(4, records).rank, 1);
+    EXPECT_EQ(analyzeNonCommSlow(4, rankMajor(records)).rank, 1);
+
+    // Listing rank 2 first in every op hands it each op's minimum:
+    // the candidate then never is, and the consistency test fails.
+    std::stable_sort(records.begin(), records.end(),
+                     [](const RankWaitRecord &a, const RankWaitRecord &b) {
+                         return a.seq < b.seq ||
+                                (a.seq == b.seq && a.rank == 2 &&
+                                 b.rank != 2);
+                     });
+    EXPECT_FALSE(analyzeNonCommSlow(4, records).found);
 }
 
 OpProgress

@@ -132,11 +132,34 @@ TEST(Communicator, RanksOnNode)
     EXPECT_TRUE(comm.ranksOnNode(99).empty());
 }
 
+TEST(Communicator, RanksOnNodeNonContiguousPlacement)
+{
+    // Ranks alternate between nodes 3 and 1: a node's ranks are not
+    // adjacent, and nodes 0 and 2 lie inside the table but host none.
+    std::vector<DeviceInfo> devices;
+    for (int r = 0; r < 6; ++r)
+        devices.push_back({r % 2 == 0 ? 3 : 1, static_cast<GpuId>(r / 2),
+                           static_cast<NicId>(r / 2)});
+    Communicator comm(1, 1, devices, 2);
+
+    EXPECT_EQ(comm.ranksOnNode(3), (std::vector<Rank>{0, 2, 4}));
+    EXPECT_EQ(comm.ranksOnNode(1), (std::vector<Rank>{1, 3, 5}));
+    EXPECT_TRUE(comm.ranksOnNode(0).empty());
+    EXPECT_TRUE(comm.ranksOnNode(2).empty());
+    EXPECT_TRUE(comm.ranksOnNode(4).empty());
+    EXPECT_TRUE(comm.ranksOnNode(kInvalidId).empty());
+    EXPECT_EQ(comm.nodes(), (std::vector<NodeId>{3, 1}));
+    EXPECT_EQ(comm.maxRanksPerNode(), 3);
+    EXPECT_EQ(comm.boundaries().size(), 6u); // every ring hop crosses
+}
+
 TEST(Communicator, RejectsBadArguments)
 {
     EXPECT_THROW(Communicator(1, 1, {}, 2), std::invalid_argument);
     EXPECT_THROW(Communicator(1, 1, twoNodeDevices(), 0),
                  std::invalid_argument);
+    EXPECT_THROW(Communicator(1, 1, {DeviceInfo{}}, 2),
+                 std::invalid_argument); // no node
 }
 
 class BusFactorScaling : public ::testing::TestWithParam<int>

@@ -44,7 +44,7 @@ TEST(Monitor, DisabledDropsEverything)
 {
     AcclMonitor mon(false);
     mon.record(makeConn(1, 0, 1, mib(1), milliseconds(1)));
-    mon.heartbeat(1, 0, seconds(5));
+    mon.heartbeat(mon.heartbeatRow(1, 1), 0, seconds(5));
     mon.opPosted(1, 1, CollOp::AllReduce, mib(1), seconds(1));
     EXPECT_TRUE(mon.drainConn().empty());
     EXPECT_EQ(mon.lastHeartbeat(1, 0), kTimeNever);
@@ -64,9 +64,10 @@ TEST(Monitor, HeartbeatsTrackLatest)
 {
     AcclMonitor mon;
     EXPECT_EQ(mon.lastHeartbeat(1, 0), kTimeNever);
-    mon.heartbeat(1, 0, seconds(1));
-    mon.heartbeat(1, 0, seconds(2));
-    mon.heartbeat(1, 1, seconds(3));
+    std::vector<Time> &row = mon.heartbeatRow(1, 2);
+    mon.heartbeat(row, 0, seconds(1));
+    mon.heartbeat(row, 0, seconds(2));
+    mon.heartbeat(row, 1, seconds(3));
     EXPECT_EQ(mon.lastHeartbeat(1, 0), seconds(2));
     EXPECT_EQ(mon.lastHeartbeat(1, 1), seconds(3));
     EXPECT_EQ(mon.lastHeartbeat(2, 0), kTimeNever);
@@ -106,12 +107,54 @@ TEST(Monitor, CommClosedClearsState)
 {
     AcclMonitor mon;
     mon.opPosted(7, 1, CollOp::AllReduce, mib(1), seconds(1));
-    mon.heartbeat(7, 0, seconds(1));
-    mon.heartbeat(8, 0, seconds(1));
+    mon.heartbeat(mon.heartbeatRow(7, 1), 0, seconds(1));
+    mon.heartbeat(mon.heartbeatRow(8, 1), 0, seconds(1));
     mon.commClosed(7);
     EXPECT_EQ(mon.currentOp(7), nullptr);
     EXPECT_EQ(mon.lastHeartbeat(7, 0), kTimeNever);
     EXPECT_EQ(mon.lastHeartbeat(8, 0), seconds(1)); // untouched
+}
+
+TEST(Monitor, HeartbeatRowsAreDensePerComm)
+{
+    AcclMonitor mon;
+    std::vector<Time> &a = mon.heartbeatRow(3, 4);
+    ASSERT_EQ(a.size(), 4u);
+    mon.heartbeat(a, 2, seconds(5));
+    mon.heartbeat(mon.heartbeatRow(9, 2), 1, seconds(6));
+
+    // Unseen ranks and comms read kTimeNever.
+    EXPECT_EQ(mon.lastHeartbeat(3, 2), seconds(5));
+    EXPECT_EQ(mon.lastHeartbeat(3, 0), kTimeNever);
+    EXPECT_EQ(mon.lastHeartbeat(3, 4), kTimeNever); // past the row
+    EXPECT_EQ(mon.lastHeartbeat(3, kInvalidId), kTimeNever);
+    EXPECT_EQ(mon.lastHeartbeat(4, 0), kTimeNever);
+    EXPECT_EQ(mon.lastHeartbeat(9, 1), seconds(6));
+    EXPECT_EQ(mon.lastHeartbeat(9, 0), kTimeNever);
+
+    // Asking again returns the same row and never shrinks it.
+    EXPECT_EQ(&mon.heartbeatRow(3, 2), &a);
+    EXPECT_EQ(a.size(), 4u);
+
+    // Closing comm 3 leaves comm 9 intact.
+    mon.commClosed(3);
+    EXPECT_EQ(mon.lastHeartbeat(3, 2), kTimeNever);
+    EXPECT_EQ(mon.lastHeartbeat(9, 1), seconds(6));
+}
+
+TEST(Monitor, DisabledMonitorRecordsNoHeartbeat)
+{
+    AcclMonitor mon(false);
+    std::vector<Time> &row = mon.heartbeatRow(1, 2);
+    mon.heartbeat(row, 0, seconds(1));
+    mon.heartbeat(row, 1, seconds(1));
+    EXPECT_EQ(mon.lastHeartbeat(1, 0), kTimeNever);
+    EXPECT_EQ(mon.lastHeartbeat(1, 1), kTimeNever);
+
+    // The switch is read on every write, so a cached row follows it.
+    mon.setEnabled(true);
+    mon.heartbeat(row, 0, seconds(2));
+    EXPECT_EQ(mon.lastHeartbeat(1, 0), seconds(2));
 }
 
 TEST(Monitor, CsvDumpsParse)

@@ -7,7 +7,8 @@
  * schedule/cancel/run soups — the property the speedup claim rests
  * on; a faster kernel that fires in a different order measures
  * nothing), and the per-thread allocation counters stay exact and
- * monotonic while threads allocate, exit, and are read concurrently.
+ * monotonic while threads allocate, exit, and are read concurrently,
+ * and the ACCL executor's per-collective heap traffic stays in budget.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "perf/legacy_kernel.h"
 #include "perf/perf.h"
 #include "sim/simulator.h"
+#include "testutil/testutil.h"
 
 namespace c4::perf {
 namespace {
@@ -270,6 +272,48 @@ TEST(AllocCounters, ExactAcrossThreadsThatExitBeforeTheRead)
     // Retiring the rest moves their slots, it does not add to them.
     EXPECT_EQ(after.count - before.count, expectCount);
     EXPECT_EQ(after.bytes - before.bytes, expectBytes);
+}
+
+/**
+ * Heap allocations per warmed-up cross-node ring allreduce (2 nodes x
+ * 8 GPUs, 2 channels, 8 simulated rounds: 32 fabric flows and 32 NVLink
+ * rounds per collective), measured. About 96 of them are the fabric's
+ * own flow bookkeeping (three per flow); the rest are per collective:
+ * the executor with its plan, slot and event tables, and the amortized
+ * growth of the monitor's record queues. The ACCL hop path allocates
+ * nothing, so one allocation per hop or per flow adds 32 or more and
+ * fails this.
+ */
+constexpr std::uint64_t kAllocsPerAllReduceBudget = 128;
+
+TEST(AllocBudget, CrossNodeRingAllReduce)
+{
+    testutil::AcclHarness h(2);
+    const CommId comm = h.fullComm(2);
+    int completed = 0;
+    auto runOne = [&] {
+        h.lib.postCollective(comm, accl::CollOp::AllReduce, mib(64),
+                             [&](const accl::CollectiveResult &) {
+                                 ++completed;
+                             });
+        h.sim.run();
+    };
+    // Warm up: connections, QP decisions and heartbeat rows are made
+    // on first use, once per communicator.
+    for (int i = 0; i < 4; ++i)
+        runOne();
+
+    constexpr int kRuns = 64;
+    const AllocStats before = allocStatsNow();
+    for (int i = 0; i < kRuns; ++i)
+        runOne();
+    const AllocStats after = allocStatsNow();
+
+    ASSERT_EQ(completed, 4 + kRuns);
+    const std::uint64_t perCollective = (after.count - before.count) / kRuns;
+    EXPECT_LE(perCollective, kAllocsPerAllReduceBudget)
+        << (after.count - before.count) << " allocations over " << kRuns
+        << " allreduces";
 }
 
 } // namespace
